@@ -5,7 +5,7 @@ from .lattice_model import (MixedPotentialError, PhysicalState, PotentialSpec,
                             dispersion, eval_potential, from_relative,
                             growth_bound, hamiltonian, momentum, to_relative)
 from .operators import (Multiplier, ResonanceError, apply_M, apply_M_inverse,
-                        apply_M_via_multiplier, apply_N, apply_S,
+                        apply_M_via_multiplier, apply_N, apply_S, linearize_S,
                         probe_operator_norm)
 from .solver import (BreatherResult, SolverConfig, continuation_sweep,
                      hybrid_solve, newton_solve, picard_solve, refine, solve)

@@ -6,6 +6,12 @@ phonon band (Om^2 > 4) every eigenvalue is negative and bounded away from
 zero by Om^2 - 4, so M inverts by spectral division.  N applies the
 second-difference stencil to W'(u) on a dealiased collocation grid, and the
 breather fixed-point map is S = M^{-1} o N.
+
+The stencil is diagonal on spatial Fourier modes too, with eigenvalue
+-4 sin^2(k/2), so S applies one symbol sigma_m(k) = -4 sin^2(k/2) / nu_m(k)
+to the stored harmonics of W'(u).  ``apply_S`` and its derivative
+``linearize_S`` take that fused route; ``apply_N`` and ``apply_M_inverse``
+stay separate as the reference route for S and for the strong residual.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice_model import PotentialSpec, eval_potential
+from .lattice_model import PotentialSpec, dispersion, eval_potential, force, stiffness
 from .spectral_field import GridSpec, SpectralField, analyze, synthesize, x0_norm, \
-    WeightSpec, random_field
+    WeightSpec, dealiased_sample_count, random_field
 
 RESONANCE_FLOOR = 1e-9
 
@@ -34,9 +40,8 @@ class Multiplier:
 
     @classmethod
     def build(cls, grid: GridSpec) -> "Multiplier":
-        k = 2.0 * np.pi * np.arange(grid.n_sites) / grid.n_sites
         m = grid.harmonics
-        table = -(grid.omega * m[:, None]) ** 2 + 4.0 * np.sin(k[None, :] / 2.0) ** 2
+        table = -(grid.omega * m[:, None]) ** 2 + dispersion(_wavenumbers(grid))[None, :]
         return cls(grid.omega, table)
 
     def rows(self):
@@ -47,12 +52,32 @@ class Multiplier:
                 yield mi + 1, j, self.table[mi, j]
 
 
+def _wavenumbers(grid: GridSpec) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(grid.n_sites) / grid.n_sites
+
+
 def _check_invertible(grid: GridSpec, table: np.ndarray):
     if grid.omega**2 <= 4.0:
         raise ResonanceError(
             f"omega^2 = {grid.omega**2:.6g} does not clear the phonon band edge 4")
     if np.min(np.abs(table)) < RESONANCE_FLOOR:
         raise ResonanceError("multiplier magnitude below resonance floor")
+
+
+def _symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(nu, sigma) in site-major (N, M) layout, resonance-checked.
+
+    Built once per GridSpec instance and kept on it; GridSpec is frozen, so
+    the pair goes into the instance dict directly.  Equal grids built
+    separately each build their own, and nothing is cached process-wide.
+    """
+    cached = grid.__dict__.get("_symbols")
+    if cached is None:
+        nu = np.ascontiguousarray(Multiplier.build(grid).table.T)
+        _check_invertible(grid, nu)
+        sigma = -dispersion(_wavenumbers(grid))[:, None] / nu
+        cached = grid.__dict__["_symbols"] = (nu, sigma)
+    return cached
 
 
 def apply_M(field: SpectralField) -> SpectralField:
@@ -72,34 +97,65 @@ def apply_M_via_multiplier(field: SpectralField) -> SpectralField:
 
 def apply_M_inverse(field: SpectralField) -> SpectralField:
     """Invert M by spectral division; requires Om^2 > 4 (non-resonance)."""
-    mult = Multiplier.build(field.grid)
-    _check_invertible(field.grid, mult.table)
+    nu, _ = _symbols(field.grid)
     spectral = np.fft.fft(field.coeffs, axis=0)
-    return field.with_coeffs(np.fft.ifft(spectral / mult.table.T, axis=0))
+    return field.with_coeffs(np.fft.ifft(spectral / nu, axis=0))
+
+
+def _collocation_count(field: SpectralField, spec: PotentialSpec) -> int:
+    """Samples per period for W' on this field: the dealiasing rule, or N_t if larger."""
+    grid = field.grid
+    return max(grid.n_time_samples, dealiased_sample_count(grid.n_harmonics, spec.wprime_degree))
 
 
 def apply_N(field: SpectralField, spec: PotentialSpec) -> SpectralField:
     """Nonlinear coupling N(u)_n = W'(u_{n+1}) + W'(u_{n-1}) - 2 W'(u_n).
 
-    W' is evaluated pointwise on a collocation grid oversampled to
-    2*(deg+1)*M + 1 samples (deg = polynomial degree of W'), which keeps the
+    W' is evaluated pointwise on a collocation grid oversampled by the
+    dealiasing rule of ``GridSpec.with_dealiasing``, which keeps the
     truncated result an exact restriction of the continuous operator; the
     zero-mean projection is part of the transform back.
     """
-    deg = spec.wprime_degree
-    if deg == 0:
+    if spec.wprime_degree == 0:
         return field.with_coeffs(np.zeros_like(field.coeffs))
-    nt = 2 * (deg + 1) * field.grid.n_harmonics + 2
-    nt = max(nt, field.grid.n_time_samples)
-    u = synthesize(field, n_time_samples=nt)
+    u = synthesize(field, n_time_samples=_collocation_count(field, spec))
     wp = eval_potential(spec, u).Wp
     stencil = np.roll(wp, -1, axis=0) + np.roll(wp, 1, axis=0) - 2.0 * wp
     return analyze(field.grid, stencil)
 
 
+def _apply_symbol(field: SpectralField, samples: np.ndarray) -> SpectralField:
+    """M^{-1} of the second difference of collocation samples, via sigma."""
+    _, sigma = _symbols(field.grid)
+    coeffs = analyze(field.grid, samples).coeffs
+    return field.with_coeffs(np.fft.ifft(np.fft.fft(coeffs, axis=0) * sigma, axis=0))
+
+
 def apply_S(field: SpectralField, spec: PotentialSpec) -> SpectralField:
-    """Fixed-point map S = M^{-1} o N; breathers are its nontrivial fixed points."""
-    return apply_M_inverse(apply_N(field, spec))
+    """Fixed-point map S = M^{-1} o N; breathers are its nontrivial fixed points.
+
+    Equal to ``apply_M_inverse(apply_N(field, spec))`` up to round-off, with
+    the second difference folded into the symbol instead of taken on the
+    samples.
+    """
+    u = synthesize(field, n_time_samples=_collocation_count(field, spec))
+    return _apply_symbol(field, force(spec, u))
+
+
+def linearize_S(field: SpectralField, spec: PotentialSpec):
+    """Derivative of S at ``field``: the map w -> M^{-1} Delta (W''(u) w).
+
+    u and W''(u) are sampled once here; each call of the returned map costs
+    one synthesis and one application of the symbol.  W''(u) w has the
+    degree of W'(u), so the same collocation count stays alias-free.
+    """
+    nt = _collocation_count(field, spec)
+    curvature = stiffness(spec, synthesize(field, n_time_samples=nt))
+
+    def jvp(w: SpectralField) -> SpectralField:
+        return _apply_symbol(w, curvature * synthesize(w, n_time_samples=nt))
+
+    return jvp
 
 
 def probe_operator_norm(omega: float, grid: GridSpec, trials: int,

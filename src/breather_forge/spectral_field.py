@@ -19,6 +19,15 @@ class WeightOverflowError(ValueError):
     """Exponential weight exceeds double range for this lattice size."""
 
 
+def dealiased_sample_count(n_harmonics: int, wprime_degree: int) -> int:
+    """The dealiasing rule: N_t >= 2*(deg+1)*M + 1 samples, rounded up to even.
+
+    A degree-deg polynomial of an M-harmonic field carries harmonics up to
+    deg*M; with this many samples none of them aliases onto 1..M.
+    """
+    return 2 * (max(1, wprime_degree) + 1) * n_harmonics + 2
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Discretisation: N lattice sites, M harmonics, N_t samples per period."""
@@ -42,9 +51,9 @@ class GridSpec:
     def with_dealiasing(cls, n_sites: int, n_harmonics: int, omega: float,
                         wprime_degree: int = 3) -> "GridSpec":
         """Grid whose collocation rule resolves a degree-``wprime_degree`` force
-        without aliasing: N_t >= 2*(deg+1)*M + 1, rounded up to even."""
-        deg = max(1, wprime_degree)
-        return cls(n_sites, n_harmonics, 2 * (deg + 1) * n_harmonics + 2, omega)
+        without aliasing (see ``dealiased_sample_count``)."""
+        return cls(n_sites, n_harmonics,
+                   dealiased_sample_count(n_harmonics, wprime_degree), omega)
 
     @property
     def period(self) -> float:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from breather_forge import (GridSpec, Multiplier, PotentialSpec,
                             ResonanceError, WeightSpec, apply_M,
                             apply_M_inverse, apply_M_via_multiplier, apply_N,
-                            apply_S, probe_operator_norm, project_even,
-                            project_odd, random_field, seed_field, x0_norm,
-                            zero_field)
+                            apply_S, linearize_S, probe_operator_norm,
+                            project_even, project_odd, random_field,
+                            seed_field, x0_norm, zero_field)
 
 from oracles import apply_n_oversampled, plane_wave_field
 
@@ -74,8 +74,12 @@ def test_inverse_identity_both_ways(seed):
 
 def test_resonance_error_inside_band():
     grid = GridSpec(64, 16, 130, 1.9)
+    field = random_field(grid, np.random.default_rng(0))
     with pytest.raises(ResonanceError):
-        apply_M_inverse(random_field(grid, np.random.default_rng(0)))
+        apply_M_inverse(field)
+    for spec in (QUARTIC, PotentialSpec()):
+        with pytest.raises(ResonanceError):
+            apply_S(field, spec)
 
 
 def test_apply_N_harmonic_is_zero():
@@ -174,3 +178,68 @@ def test_seeded_parity_fields_are_S_compatible():
         image = apply_S(field, QUARTIC)
         err = np.max(np.abs(project(image).coeffs - image.coeffs))
         assert err <= 1e-13
+
+
+POTENTIALS = [QUARTIC, PotentialSpec(cubic=1.0), PotentialSpec(cubic=0.3, quartic=1.0)]
+
+
+def _rel_x0(a, b) -> float:
+    return x0_norm(a.with_coeffs(a.coeffs - b.coeffs), FLAT) / x0_norm(b, FLAT)
+
+
+def _unit_random(grid, rng):
+    field = random_field(grid, rng)
+    return field.with_coeffs(field.coeffs / x0_norm(field, FLAT))
+
+
+@pytest.mark.parametrize("spec", POTENTIALS)
+def test_fused_S_matches_composed_route(spec):
+    rng = np.random.default_rng(31)
+    for grid in (GRID, GridSpec(32, 8, 18, 2.2)):  # the second one needs oversampling
+        for _ in range(5):
+            field = _unit_random(grid, rng)
+            assert _rel_x0(apply_S(field, spec), apply_M_inverse(apply_N(field, spec))) <= 1e-13
+
+
+@pytest.mark.parametrize("spec", POTENTIALS)
+def test_exact_jvp_matches_central_difference(spec):
+    rng = np.random.default_rng(47)
+    field, w = _unit_random(GRID, rng), _unit_random(GRID, rng)
+    jvp = linearize_S(field, spec)(w)
+    h = 1e-5
+    plus = apply_S(field.with_coeffs(field.coeffs + h * w.coeffs), spec)
+    minus = apply_S(field.with_coeffs(field.coeffs - h * w.coeffs), spec)
+    central = w.with_coeffs((plus.coeffs - minus.coeffs) / (2.0 * h))
+    assert _rel_x0(jvp, central) <= 1e-7
+
+
+@pytest.mark.parametrize("spec", POTENTIALS)
+def test_exact_jvp_is_linear(spec):
+    rng = np.random.default_rng(53)
+    jvp = linearize_S(_unit_random(GRID, rng), spec)
+    v, w = _unit_random(GRID, rng), _unit_random(GRID, rng)
+    a, b = 0.7, -2.3
+    combined = jvp(v.with_coeffs(a * v.coeffs + b * w.coeffs))
+    separate = v.with_coeffs(a * jvp(v).coeffs + b * jvp(w).coeffs)
+    assert _rel_x0(combined, separate) <= 1e-13
+    assert np.all(jvp(zero_field(GRID)).coeffs == 0.0)
+
+
+def test_symbol_built_once_per_grid_instance(monkeypatch):
+    builds = []
+    original = Multiplier.build
+
+    def counting(grid):
+        builds.append(grid)
+        return original(grid)
+
+    monkeypatch.setattr(Multiplier, "build", staticmethod(counting))
+    grid = GridSpec(32, 8, 66, 2.5)
+    field = random_field(grid, np.random.default_rng(3))
+    apply_S(field, QUARTIC)
+    apply_M_inverse(field)
+    linearize_S(field, QUARTIC)(field)
+    assert len(builds) == 1
+    # an equal grid built separately does not share the first one's tables
+    apply_S(random_field(GridSpec(32, 8, 66, 2.5), np.random.default_rng(3)), QUARTIC)
+    assert len(builds) == 2

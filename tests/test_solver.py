@@ -84,6 +84,15 @@ def test_converged_result_invariants(flagship_result):
     assert res.bounds is not None
 
 
+def test_converged_means_strong_residual_within_limit():
+    # Newton's last step from this seed lands at fp_residual 9.8e-11, under
+    # tol, while the strong residual is still 1.08 times verify's limit
+    cfg = replace(flagship_config("even"), seed=(0.87140064465153, 0.9157754696836321))
+    res = hybrid_solve(cfg)
+    assert res.status == "converged"
+    assert res.strong_residual <= 10.0 * cfg.tol_residual * res.x2_norm
+
+
 def test_newton_from_zero_collapses():
     cfg = flagship_config("odd")
     result = newton_solve(cfg, zero_field(cfg.grid))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from breather_forge import (BlowUpError, GridSpec, InsufficientTailError,
                             MixedPotentialError, PotentialSpec, SpectralField,
-                            WeightSpec, boundary_floor, bounds_report,
+                            TrajectoryReport, WeightSpec, boundary_floor,
+                            bounds_report, eval_potential,
                             classical_residual, decay_rate_fit,
                             fit_decay_profile, initial_conditions,
                             integrate_trajectory, norm_comparison,
@@ -162,6 +164,39 @@ def test_integrator_order_on_phonon_standing_wave():
     ratio = coarse.period_return_error / fine.period_return_error
     assert 3.5 <= ratio <= 4.5
     assert fine.period_return_error < coarse.period_return_error < 1e-2
+
+
+def _textbook_verlet(field, spec, periods, steps_per_period) -> TrajectoryReport:
+    """Velocity-Verlet as written in textbooks: two force evaluations a step."""
+    x, y = initial_conditions(field)
+    dt = field.grid.period / steps_per_period
+
+    def energy(x, y):
+        p = y - np.roll(y, -1)
+        return float(np.sum(0.5 * p**2 + eval_potential(spec, x).V))
+
+    e0, p0 = energy(x, y), float(np.sum(y - np.roll(y, -1)))
+    z0 = np.concatenate([x, y])
+    energy_drift = momentum_drift = return_error = 0.0
+    for period in range(periods):
+        for _ in range(steps_per_period):
+            y = y - 0.5 * dt * eval_potential(spec, x).Vp
+            x = x + dt * (2.0 * y - np.roll(y, -1) - np.roll(y, 1))
+            y = y - 0.5 * dt * eval_potential(spec, x).Vp
+        energy_drift = max(energy_drift, abs(energy(x, y) - e0) / abs(e0))
+        momentum_drift = max(momentum_drift, abs(float(np.sum(y - np.roll(y, -1))) - p0))
+        if period == 0:
+            return_error = float(np.linalg.norm(np.concatenate([x, y]) - z0)
+                                 / np.linalg.norm(z0))
+    return TrajectoryReport(energy_drift, momentum_drift, return_error, periods, dt)
+
+
+def test_integrator_matches_textbook_verlet(flagship_result):
+    # one force evaluation per step and slice updates change no arithmetic
+    fast = integrate_trajectory(flagship_result.field, QUARTIC, 2, 128)
+    slow = _textbook_verlet(flagship_result.field, QUARTIC, 2, 128)
+    for name, value in dataclasses.asdict(slow).items():
+        assert getattr(fast, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
 
 
 def test_long_run_drifts_stay_bounded(flagship_result):
