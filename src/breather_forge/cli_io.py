@@ -20,6 +20,9 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,10 +32,12 @@ from .operators import Multiplier, ResonanceError, probe_operator_norm
 from .solver import (BreatherResult, SolverConfig, STATUS_CONVERGED,
                      continuation_sweep, solve)
 from .spectral_field import (GridSpec, SpectralField, WeightSpec,
-                             max_amplitude_profile, parity_projector,
-                             synthesize, time_means, x0_norm, x2_norm)
+                             dealiased_sample_count, max_amplitude_profile,
+                             parity_projector, synthesize, time_means, x0_norm,
+                             x2_norm)
 
 SCHEMA_VERSION = 1
+_TRACE_HEADER = ["iter", "fp_residual", "x0_norm"]
 
 
 class ConfigError(ValueError):
@@ -43,29 +48,73 @@ class ConfigWarning(UserWarning):
     pass
 
 
-_DEFAULTS = {
-    "grid.n_sites": "64",
-    "grid.n_harmonics": "16",
-    "grid.n_time_samples": "auto",
-    "grid.omega": None,  # required
-    "weight.lambda": "0.0",
-    "potential.cubic": "0.0",
-    "potential.quartic": "0.0",
-    "solver.parity": "odd",
-    "solver.strategy": "hybrid",
-    "solver.damping": "0.5",
-    "solver.accel_depth": "5",
-    "solver.tol_residual": "1e-10",
-    "solver.tol_zero": "1e-08",
-    "solver.max_iter": "500",
-    "solver.seed_amplitude": "auto",
-    "solver.seed_width": "1.0",
-}
+@dataclass(frozen=True)
+class ConfigKey:
+    """One config key: its file spelling and default, its CLI flag, and the
+    place its resolved value takes in a SolverConfig."""
 
-_KEY_ORDER = list(_DEFAULTS)
+    key: str
+    dest: str  # argparse dest, and the name build_config reads the value by
+    type: type | None  # int or float; None for a string from ``choices``
+    default: object  # None: required (grid.omega) or 'auto'
+    flag: str | None  # None: set in a config file only
+    help: str
+    get: Callable[[SolverConfig], object]
+    choices: tuple[str, ...] | None = None
+    auto: bool = False  # a config file may write 'auto'
+
+    def parse(self, raw: str):
+        if self.auto and raw == "auto":
+            return None
+        return raw if self.type is None else self.type(raw)
 
 
-def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
+# Row order is the order of config_echo, and so part of every manifest's bytes.
+CONFIG_KEYS = (
+    ConfigKey("grid.n_sites", "n_sites", int, 64, "--n-sites",
+              "lattice sites N, even and >= 8", lambda c: c.grid.n_sites),
+    ConfigKey("grid.n_harmonics", "harmonics", int, 16, "--harmonics",
+              "stored time harmonics M", lambda c: c.grid.n_harmonics),
+    ConfigKey("grid.n_time_samples", "time_samples", int, None, "--time-samples",
+              "collocation samples per period (a file may write 'auto')",
+              lambda c: c.grid.n_time_samples, auto=True),
+    ConfigKey("grid.omega", "omega", float, None, "--omega",
+              "breather frequency (> 2 needed)", lambda c: c.grid.omega),
+    ConfigKey("weight.lambda", "lam", float, 0.0, "--lambda",
+              "weight decay rate", lambda c: c.weight.lam),
+    ConfigKey("potential.cubic", "cubic", float, 0.0, "--cubic",
+              "cubic force coefficient", lambda c: c.potential.cubic),
+    ConfigKey("potential.quartic", "quartic", float, 0.0, "--quartic",
+              "quartic force coefficient", lambda c: c.potential.quartic),
+    ConfigKey("solver.parity", "parity", None, "odd", "--parity",
+              "odd: site-centred, even: bond-centred", lambda c: c.parity,
+              choices=("even", "odd")),
+    ConfigKey("solver.strategy", "strategy", None, "hybrid", "--strategy",
+              "fixed-point iteration scheme", lambda c: c.strategy,
+              choices=("picard", "newton", "hybrid")),
+    ConfigKey("solver.damping", "damping", float, 0.5, "--damping",
+              "Picard damping in (0, 1]", lambda c: c.damping),
+    ConfigKey("solver.accel_depth", "accel_depth", int, 5, "--accel-depth",
+              "Anderson acceleration history length", lambda c: c.accel_depth),
+    ConfigKey("solver.tol_residual", "tol_residual", float, 1e-10, "--tol-residual",
+              "relative fixed-point residual to converge at", lambda c: c.tol_residual),
+    ConfigKey("solver.tol_zero", "tol_zero", float, 1e-8, None,
+              "X0 norm below which a solve has collapsed to zero", lambda c: c.tol_zero),
+    ConfigKey("solver.max_iter", "max_iter", int, 500, "--max-iter",
+              "outer iteration budget", lambda c: c.max_iter),
+    ConfigKey("solver.seed_amplitude", "seed_amplitude", float, None, "--seed-amplitude",
+              "seed scale (a file may write 'auto': the existence-ring midpoint)",
+              lambda c: c.seed[0], auto=True),
+    ConfigKey("solver.seed_width", "seed_width", float, 1.0, "--seed-width",
+              "seed width in sites", lambda c: c.seed[1]),
+)
+
+_BY_KEY = {row.key: row for row in CONFIG_KEYS}
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+def _parse_lines(text: str) -> dict[str, object]:
+    """Parsed values by key; each diagnostic names its line."""
     entries: dict[str, tuple[str, int]] = {}
     problems = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -78,121 +127,76 @@ def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "omega":
             key = "grid.omega"  # bare alias for the one required key
-        if key not in _DEFAULTS:
+        if key not in _BY_KEY:
             problems.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        if key in entries:
+        elif key in entries:
             problems.append(f"line {lineno}: duplicate key {key!r}")
-            continue
-        entries[key] = (value, lineno)
+        else:
+            entries[key] = (value, lineno)
+    values = {}
+    for key, (value, lineno) in entries.items():
+        row = _BY_KEY[key]
+        try:
+            values[key] = row.parse(value)
+        except ValueError:
+            problems.append(f"line {lineno}: {key} must be {_TYPE_NAMES[row.type]}, "
+                            f"got {value!r}")
     if problems:
         raise ConfigError("; ".join(problems))
-    return entries
+    return values
 
 
-def _get_float(raw, key, lineno_map) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        where = f"line {lineno_map.get(key, '?')}"
-        raise ConfigError(f"{where}: {key} must be a number, got {raw!r}") from None
-
-
-def _get_int(raw, key, lineno_map) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        where = f"line {lineno_map.get(key, '?')}"
-        raise ConfigError(f"{where}: {key} must be an integer, got {raw!r}") from None
-
-
-def build_config(values: dict[str, str], lineno_map: dict[str, int] | None = None) -> SolverConfig:
-    """Validate a fully merged key set and construct the solver config."""
-    lineno_map = lineno_map or {}
-    merged = {k: v for k, v in _DEFAULTS.items()}
-    merged.update(values)
-    if merged["grid.omega"] is None:
+def build_config(values: dict[str, object]) -> SolverConfig:
+    """Construct the solver config from parsed values by key; defaults fill
+    the rest.  Range checks are the constructors', raised as ConfigError."""
+    if "grid.omega" not in values:
         raise ConfigError("missing required key grid.omega (or bare 'omega')")
-
-    omega = _get_float(merged["grid.omega"], "grid.omega", lineno_map)
-    lam = _get_float(merged["weight.lambda"], "weight.lambda", lineno_map)
-    n_sites = _get_int(merged["grid.n_sites"], "grid.n_sites", lineno_map)
-    n_harm = _get_int(merged["grid.n_harmonics"], "grid.n_harmonics", lineno_map)
-    if omega <= 0.0:
-        raise ConfigError("grid.omega must be positive")
-    if lam < 0.0:
-        raise ConfigError("weight.lambda must be >= 0")
-    if n_sites % 2 != 0 or n_sites < 8:
-        raise ConfigError("grid.n_sites must be even and >= 8")
-    if omega**2 <= 4.0:
-        warnings.warn(
-            f"omega^2 = {omega**2:.6g} does not clear the phonon band edge 4; "
-            "solving will fail with a resonance error", ConfigWarning, stacklevel=2)
-
-    potential = PotentialSpec(
-        cubic=_get_float(merged["potential.cubic"], "potential.cubic", lineno_map),
-        quartic=_get_float(merged["potential.quartic"], "potential.quartic", lineno_map))
-    if merged["grid.n_time_samples"] == "auto":
-        n_time = 2 * (max(potential.wprime_degree, 3) + 1) * n_harm + 2
-    else:
-        n_time = _get_int(merged["grid.n_time_samples"], "grid.n_time_samples", lineno_map)
-    parity = merged["solver.parity"]
-    if parity not in ("even", "odd"):
-        raise ConfigError(f"solver.parity must be 'even' or 'odd', got {parity!r}")
-    strategy = merged["solver.strategy"]
-    if strategy not in ("picard", "newton", "hybrid"):
-        raise ConfigError(f"solver.strategy must be picard|newton|hybrid, got {strategy!r}")
-    seed_amp_raw = merged["solver.seed_amplitude"]
-    seed_amp = None if seed_amp_raw == "auto" else _get_float(
-        seed_amp_raw, "solver.seed_amplitude", lineno_map)
+    v = SimpleNamespace(**{row.dest: values.get(row.key, row.default)
+                           for row in CONFIG_KEYS})
     try:
-        return SolverConfig(
-            grid=GridSpec(n_sites, n_harm, n_time, omega),
-            weight=WeightSpec.for_parity(lam, parity),
+        potential = PotentialSpec(cubic=v.cubic, quartic=v.quartic)
+        if v.time_samples is None:
+            # never fewer samples than a cubic W' needs, so that emitted
+            # configs of cubic potentials keep their sample counts
+            v.time_samples = dealiased_sample_count(
+                v.harmonics, max(potential.wprime_degree, 3))
+        config = SolverConfig(
+            grid=GridSpec(v.n_sites, v.harmonics, v.time_samples, v.omega),
+            weight=WeightSpec.for_parity(v.lam, v.parity),
             potential=potential,
-            parity=parity,
-            strategy=strategy,
-            damping=_get_float(merged["solver.damping"], "solver.damping", lineno_map),
-            accel_depth=_get_int(merged["solver.accel_depth"], "solver.accel_depth", lineno_map),
-            tol_residual=_get_float(merged["solver.tol_residual"], "solver.tol_residual", lineno_map),
-            tol_zero=_get_float(merged["solver.tol_zero"], "solver.tol_zero", lineno_map),
-            max_iter=_get_int(merged["solver.max_iter"], "solver.max_iter", lineno_map),
-            seed=(seed_amp, _get_float(merged["solver.seed_width"], "solver.seed_width", lineno_map)),
+            parity=v.parity,
+            strategy=v.strategy,
+            damping=v.damping,
+            accel_depth=v.accel_depth,
+            tol_residual=v.tol_residual,
+            tol_zero=v.tol_zero,
+            max_iter=v.max_iter,
+            seed=(v.seed_amplitude, v.seed_width),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if config.grid.omega**2 <= 4.0:
+        warnings.warn(
+            f"omega^2 = {config.grid.omega**2:.6g} does not clear the phonon band edge 4; "
+            "solving will fail with a resonance error", ConfigWarning, stacklevel=2)
+    return config
 
 
 def parse_config(text: str) -> SolverConfig:
     """Parse a flat config document; unknown keys and bad ranges are errors."""
-    entries = _parse_lines(text)
-    values = {k: v for k, (v, _) in entries.items()}
-    linenos = {k: ln for k, (_, ln) in entries.items()}
-    return build_config(values, linenos)
+    return build_config(_parse_lines(text))
+
+
+def _format_value(value) -> str:
+    if value is None:
+        return "auto"
+    return value if isinstance(value, str) else repr(value)
 
 
 def serialize_config(config: SolverConfig) -> str:
     """Canonical flat text for a resolved config; parse round-trips exactly."""
-    amp, width = config.seed
-    values = {
-        "grid.n_sites": repr(config.grid.n_sites),
-        "grid.n_harmonics": repr(config.grid.n_harmonics),
-        "grid.n_time_samples": repr(config.grid.n_time_samples),
-        "grid.omega": repr(config.grid.omega),
-        "weight.lambda": repr(config.weight.lam),
-        "potential.cubic": repr(config.potential.cubic),
-        "potential.quartic": repr(config.potential.quartic),
-        "solver.parity": config.parity,
-        "solver.strategy": config.strategy,
-        "solver.damping": repr(config.damping),
-        "solver.accel_depth": repr(config.accel_depth),
-        "solver.tol_residual": repr(config.tol_residual),
-        "solver.tol_zero": repr(config.tol_zero),
-        "solver.max_iter": repr(config.max_iter),
-        "solver.seed_amplitude": "auto" if amp is None else repr(amp),
-        "solver.seed_width": repr(width),
-    }
-    return "".join(f"{key} = {values[key]}\n" for key in _KEY_ORDER)
+    return "".join(f"{row.key} = {_format_value(row.get(config))}\n"
+                   for row in CONFIG_KEYS)
 
 
 def _json_safe(value):
@@ -212,13 +216,17 @@ def _atomic_write(path: str, data: str):
     os.replace(tmp, path)
 
 
-def _write_csv(path: str, header: list[str], rows):
+def _csv_text(header: list[str], rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)
     for row in rows:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    _atomic_write(path, buffer.getvalue())
+    return buffer.getvalue()
+
+
+def _write_csv(path: str, header: list[str], rows):
+    _atomic_write(path, _csv_text(header, rows))
 
 
 def bounds_dict(report) -> dict:
@@ -271,8 +279,7 @@ def decay_rows(field: SpectralField, parity: str):
         logs = np.log(amp)
     try:
         lam_eff, _ = validation.fit_decay_profile(amp, center)
-        peak = float(np.max(amp))
-        mask = (amp >= 1e-12 * peak) & (amp <= 1e-2 * peak)
+        mask = validation.tail_mask(amp)
         intercept = float(np.mean(logs[mask] + lam_eff * dist[mask]))
         fit = intercept - lam_eff * dist
     except (validation.InsufficientTailError, ValueError):
@@ -290,9 +297,7 @@ def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
     sites = grid.sites
     artifacts = []
 
-    _write_csv(os.path.join(out_dir, "trace.csv"),
-               ["iter", "fp_residual", "x0_norm"],
-               [(it, res, nrm) for it, res, nrm in result.trace])
+    _write_csv(os.path.join(out_dir, "trace.csv"), _TRACE_HEADER, result.trace)
     artifacts.append("trace.csv")
 
     amp = max_amplitude_profile(result.field)
@@ -365,41 +370,19 @@ def _read_config_text(args) -> str:
     return ""
 
 
-_OVERRIDE_MAP = {
-    "omega": "grid.omega",
-    "lam": "weight.lambda",
-    "parity": "solver.parity",
-    "cubic": "potential.cubic",
-    "quartic": "potential.quartic",
-    "n_sites": "grid.n_sites",
-    "harmonics": "grid.n_harmonics",
-    "time_samples": "grid.n_time_samples",
-    "strategy": "solver.strategy",
-    "damping": "solver.damping",
-    "accel_depth": "solver.accel_depth",
-    "tol_residual": "solver.tol_residual",
-    "max_iter": "solver.max_iter",
-    "seed_amplitude": "solver.seed_amplitude",
-    "seed_width": "solver.seed_width",
-}
-
-
 def _config_from_args(args) -> SolverConfig:
-    text = _read_config_text(args)
-    entries = _parse_lines(text)
-    values = {k: v for k, (v, _) in entries.items()}
-    linenos = {k: ln for k, (_, ln) in entries.items()}
-    for attr, key in _OVERRIDE_MAP.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            values[key] = str(value)
-            linenos.pop(key, None)
-    return build_config(values, linenos)
-
-
-def _print_warnings(caught):
+    """The config file overlaid with the flags given; warnings go to stderr."""
+    values = _parse_lines(_read_config_text(args))
+    for row in CONFIG_KEYS:
+        value = getattr(args, row.dest, None)
+        if row.flag is not None and value is not None:
+            values[row.key] = value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConfigWarning)
+        config = build_config(values)
     for item in caught:
         print(f"warning: {item.message}", file=sys.stderr)
+    return config
 
 
 def _status_exit(status: str) -> int:
@@ -411,15 +394,8 @@ def _status_exit(status: str) -> int:
 
 
 def _cmd_solve(args) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConfigWarning)
-        config = _config_from_args(args)
-    _print_warnings(caught)
-    try:
-        result = solve(config)
-    except ResonanceError as exc:
-        print(f"resonance: {exc}", file=sys.stderr)
-        return 3
+    config = _config_from_args(args)
+    result = solve(config)
     trajectory = None
     if args.integrate_periods:
         try:
@@ -445,18 +421,14 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.omega is None:
         args.omega = args.omega_from
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConfigWarning)
-        config = _config_from_args(args)
-    _print_warnings(caught)
+    config = _config_from_args(args)
     results = continuation_sweep(config, args.omega_from, args.omega_to, args.steps)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for idx, res in enumerate(results):
         point_dir = os.path.join(args.out, f"point_{idx:03d}")
-        cfg_echo = serialize_config(config).replace(
-            f"grid.omega = {config.grid.omega!r}", f"grid.omega = {res.omega!r}")
-        emit_outputs(res, point_dir, cfg_echo)
+        point = replace(config, grid=replace(config.grid, omega=res.omega))
+        emit_outputs(res, point_dir, serialize_config(point))
         rows.append((res.omega, res.status, res.x0_norm, res.fp_residual))
         print(f"omega = {res.omega:.6f}  status = {res.status}  x0_norm = {res.x0_norm!r}")
     _write_csv(os.path.join(args.out, "sweep.csv"),
@@ -513,12 +485,7 @@ def _verify_checks(manifest: dict, manifest_dir: str):
     rerun = solve(config)
     with open(os.path.join(manifest_dir, "trace.csv"), newline="") as handle:
         stored_trace = handle.read()
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["iter", "fp_residual", "x0_norm"])
-    for it, res, nrm in rerun.trace:
-        writer.writerow([it, repr(res), repr(nrm)])
-    yield "reproducible_trace", buffer.getvalue() == stored_trace, \
+    yield "reproducible_trace", _csv_text(_TRACE_HEADER, rerun.trace) == stored_trace, \
         f"{len(rerun.trace)} iterates compared bit-identically"
 
 
@@ -578,21 +545,10 @@ def _cmd_bounds(args) -> int:
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--omega", type=float, help="breather frequency (> 2 needed)")
-    parser.add_argument("--lambda", dest="lam", type=float, help="weight decay rate")
-    parser.add_argument("--parity", choices=["even", "odd"])
-    parser.add_argument("--cubic", type=float, help="cubic force coefficient")
-    parser.add_argument("--quartic", type=float, help="quartic force coefficient")
-    parser.add_argument("--n-sites", dest="n_sites", type=int)
-    parser.add_argument("--harmonics", dest="harmonics", type=int)
-    parser.add_argument("--time-samples", dest="time_samples", type=int)
-    parser.add_argument("--strategy", choices=["picard", "newton", "hybrid"])
-    parser.add_argument("--damping", type=float)
-    parser.add_argument("--accel-depth", dest="accel_depth", type=int)
-    parser.add_argument("--tol-residual", dest="tol_residual", type=float)
-    parser.add_argument("--max-iter", dest="max_iter", type=int)
-    parser.add_argument("--seed-amplitude", dest="seed_amplitude", type=float)
-    parser.add_argument("--seed-width", dest="seed_width", type=float)
+    for row in CONFIG_KEYS:
+        if row.flag is not None:
+            parser.add_argument(row.flag, dest=row.dest, type=row.type,
+                                choices=row.choices, help=row.help)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -658,6 +614,10 @@ def run_command(argv) -> int:
     except ResonanceError as exc:
         print(f"resonance: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # out-of-range values outside the config, such as sweep --steps 0
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

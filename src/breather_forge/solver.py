@@ -169,6 +169,19 @@ def _solves_strong_form(config: SolverConfig, fld: SpectralField) -> bool:
     return strong <= 10.0 * config.tol_residual * x2_norm(fld, config.weight)
 
 
+def _norm_guard(config: SolverConfig, norm: float, trace: list) -> str | None:
+    """Collapse or divergence status of an iterate of X0 norm ``norm``, with
+    its ``nan`` trace row appended; None while the iterate is usable."""
+    if norm <= config.tol_zero:
+        status = STATUS_COLLAPSED
+    elif norm > DIVERGENCE_NORM:
+        status = STATUS_DIVERGED
+    else:
+        return None
+    trace.append((len(trace), float("nan"), norm))
+    return status
+
+
 def _anderson_step(x_hist: list, f_hist: list, theta: float) -> np.ndarray:
     """Damped Anderson mixing over the residual history.
 
@@ -215,14 +228,9 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
     since_best = 0
     for _ in range(budget):
         norm = x0_norm(x_field, config.weight)
-        if norm <= config.tol_zero:
-            trace.append((len(trace), float("nan"), norm))
-            return _PicardOutcome(STATUS_COLLAPSED, x_field, float("nan"),
-                                  best_field, best_res)
-        if norm > DIVERGENCE_NORM:
-            trace.append((len(trace), float("nan"), norm))
-            return _PicardOutcome(STATUS_DIVERGED, x_field, float("nan"),
-                                  best_field, best_res)
+        status = _norm_guard(config, norm, trace)
+        if status is not None:
+            return _PicardOutcome(status, x_field, float("nan"), best_field, best_res)
         g_field = project(apply_S(x_field, config.potential))
         res_field = x_field.with_coeffs(g_field.coeffs - x_field.coeffs)
         fp_res = x0_norm(res_field, config.weight) / norm
@@ -279,12 +287,9 @@ def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
     for _ in range(outer_budget):
         x_field = _as_field(grid, x_vec)
         norm = x0_norm(x_field, config.weight)
-        if norm <= config.tol_zero:
-            trace.append((len(trace), float("nan"), norm))
-            return STATUS_COLLAPSED, x_field, float("nan")
-        if norm > DIVERGENCE_NORM:
-            trace.append((len(trace), float("nan"), norm))
-            return STATUS_DIVERGED, x_field, fp_res
+        status = _norm_guard(config, norm, trace)
+        if status is not None:
+            return status, x_field, fp_res if status == STATUS_DIVERGED else float("nan")
         r_vec = f_of(x_vec)
         fp_res = x0_norm(_as_field(grid, r_vec), config.weight) / norm
         trace.append((len(trace), fp_res, norm))

@@ -74,20 +74,25 @@ def bounds_report(omega: float, weight: WeightSpec, potential: PotentialSpec,
     return BoundsReport(r_max, r_crit, nonres0, nonres, in_ring, x0_norm_value)
 
 
+def tail_mask(amplitudes: np.ndarray) -> np.ndarray:
+    """Sites whose amplitude lies in [1e-12, 1e-2] of the peak: the decay
+    tail, clear of both the nonlinear core and the round-off floor."""
+    peak = float(np.max(amplitudes))
+    return (amplitudes >= 1e-12 * peak) & (amplitudes <= 1e-2 * peak)
+
+
 def fit_decay_profile(amplitudes: np.ndarray, center: float,
                       center_index: int | None = None) -> tuple[float, float]:
     """Least-squares decay rate of log max-amplitude against distance.
 
-    Fits log(amp_n) = a - lambda_eff * |n - center| over sites whose
-    amplitude lies in [1e-12, 1e-2] of the peak, excluding both the
-    nonlinear core and the round-off floor.
+    Fits log(amp_n) = a - lambda_eff * |n - center| over the sites of
+    ``tail_mask``.
     """
     amp = np.asarray(amplitudes, dtype=float)
     half = amp.size // 2 if center_index is None else center_index
-    peak = float(np.max(amp))
-    if peak <= 0.0:
+    if float(np.max(amp)) <= 0.0:
         raise InsufficientTailError("profile is identically zero")
-    mask = (amp >= 1e-12 * peak) & (amp <= 1e-2 * peak)
+    mask = tail_mask(amp)
     if np.count_nonzero(mask) < 4:
         raise InsufficientTailError(
             f"only {np.count_nonzero(mask)} usable tail sites, need at least 4")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from breather_forge import decay_rate_fit
-from breather_forge.cli_io import (ConfigError, ConfigWarning,
+from breather_forge.cli_io import (CONFIG_KEYS, ConfigError, ConfigWarning,
+                                   _build_parser, _config_from_args,
                                    field_from_spectrum_csv, load_manifest,
                                    parse_config, run_command,
                                    serialize_config)
@@ -66,6 +67,81 @@ def test_config_round_trip_fixpoint():
     text = serialize_config(config)
     assert parse_config(text) == config
     assert serialize_config(parse_config(text)) == text
+
+
+def test_every_key_serialises_to_the_canonical_echo():
+    # shuffled order and loose spellings; both 'auto' values; the cubic-only
+    # potential still gets the quartic sample count 2*(3+1)*12+2 = 98
+    text = """\
+solver.seed_width = 1.2
+solver.seed_amplitude = auto
+solver.max_iter = 400
+solver.tol_zero = 1e-9
+solver.tol_residual = 1E-10
+solver.accel_depth = 4
+solver.damping = .6
+solver.strategy = newton
+solver.parity = even
+potential.quartic = 0
+potential.cubic = 0.25
+weight.lambda = 1e-1
+grid.omega = 2.30
+grid.n_time_samples = auto
+grid.n_harmonics = 12
+grid.n_sites = 48
+"""
+    assert serialize_config(parse_config(text)) == """\
+grid.n_sites = 48
+grid.n_harmonics = 12
+grid.n_time_samples = 98
+grid.omega = 2.3
+weight.lambda = 0.1
+potential.cubic = 0.25
+potential.quartic = 0.0
+solver.parity = even
+solver.strategy = newton
+solver.damping = 0.6
+solver.accel_depth = 4
+solver.tol_residual = 1e-10
+solver.tol_zero = 1e-09
+solver.max_iter = 400
+solver.seed_amplitude = auto
+solver.seed_width = 1.2
+"""
+
+
+FLAG_VALUES = {
+    "grid.n_sites": "40", "grid.n_harmonics": "10", "grid.n_time_samples": "90",
+    "grid.omega": "2.35", "weight.lambda": "0.05", "potential.cubic": "0.3",
+    "potential.quartic": "0.7", "solver.parity": "even", "solver.strategy": "picard",
+    "solver.damping": "0.4", "solver.accel_depth": "3", "solver.tol_residual": "1e-9",
+    "solver.max_iter": "300", "solver.seed_amplitude": "0.9", "solver.seed_width": "1.1",
+}
+
+
+@pytest.mark.parametrize("row", [row for row in CONFIG_KEYS if row.flag],
+                         ids=lambda row: row.key)
+def test_flag_and_config_line_give_the_same_config(row, tmp_path):
+    value = FLAG_VALUES[row.key]
+    base = tmp_path / "base.conf"
+    base.write_text(MINIMAL)
+    args = _build_parser().parse_args(["solve", "--config", str(base), row.flag, value])
+    from_flag = _config_from_args(args)
+    line = f"{row.key} = {value}\n"
+    from_file = parse_config(line if row.key == "grid.omega" else MINIMAL + line)
+    assert from_flag == from_file
+    assert from_file != parse_config(MINIMAL)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tol-zero", "1e-9"],
+    ["--time-samples", "auto"],
+    ["--seed-amplitude", "auto"],
+], ids=["tol_zero", "time_samples_auto", "seed_amplitude_auto"])
+def test_file_only_spellings_are_usage_errors(argv, tmp_path):
+    assert run_command(["solve", "--omega", "2.2", *argv,
+                        "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_bounds_command_prints_exact_values(capsys):
@@ -197,3 +273,22 @@ def test_two_runs_are_file_identical(tmp_path):
     assert run_command(["solve", "--config", str(conf), "--out", str(tmp_path / "b")]) == 0
     for name in os.listdir(tmp_path / "a"):
         assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--omega-from", "2.6", "--omega-to", "2.4", "--steps", "0",
+     "--quartic", "1"],
+    ["solve", "--omega", "2.6", "--quartic", "1", "--n-sites", "32", "--harmonics", "8",
+     "--integrate-periods", "2", "--steps-per-period", "32"],
+    ["solve", "--omega", "2.6", "--quartic", "1", "--n-sites", "32", "--lambda", "50"],
+    ["integrate", "--manifest", "MANIFEST", "--periods", "0"],
+], ids=["sweep_steps", "solve_steps_per_period", "solve_weight_overflow",
+        "integrate_periods"])
+def test_out_of_range_arguments_exit_one_with_one_error_line(argv, solved_dir, tmp_path,
+                                                            capsys):
+    argv = [str(solved_dir / "manifest.json") if arg == "MANIFEST" else arg
+            for arg in argv]
+    rc = run_command([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
