@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -216,17 +215,23 @@ def _atomic_write(path: str, data: str):
     os.replace(tmp, path)
 
 
-def _csv_text(header: list[str], rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buffer.getvalue()
+def _cells(column) -> Iterable[str]:
+    """One column's cells: floats by repr (shortest round trip), integers
+    formatted once per distinct value, strings as they are.  Other cells are
+    made as the lines are joined, so a column's strings are never all held."""
+    values = np.asarray(column)
+    if values.dtype.kind == "i":
+        distinct, where = np.unique(values, return_inverse=True)
+        return np.array(list(map(str, distinct.tolist())), dtype=object)[where].tolist()
+    return map(repr if values.dtype.kind == "f" else str, values.tolist())
 
 
-def _write_csv(path: str, header: list[str], rows):
-    _atomic_write(path, _csv_text(header, rows))
+def _csv_text(header: list[str], *columns) -> str:
+    """CSV text of equal-length columns, byte for byte what csv.writer's excel
+    dialect writes for these cells, which never need quoting: comma-separated,
+    every line ended by \\r\\n."""
+    lines = [",".join(header), *map(",".join, zip(*map(_cells, columns)))]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def bounds_dict(report) -> dict:
@@ -270,8 +275,8 @@ def build_manifest(result: BreatherResult, config_text: str,
     })
 
 
-def decay_rows(field: SpectralField, parity: str):
-    """(abs_n, log_amp, fit_line) rows for the plot-ready decay file."""
+def decay_columns(field: SpectralField, parity: str):
+    """(abs_n, log_amp, fit_line) columns of the decay file, nearest site first."""
     center = -0.5 if parity == "even" else 0.0
     amp = max_amplitude_profile(field)
     dist = np.abs(field.grid.sites - center)
@@ -285,8 +290,12 @@ def decay_rows(field: SpectralField, parity: str):
     except (validation.InsufficientTailError, ValueError):
         fit = np.full_like(dist, float("nan"))
     order = np.argsort(dist, kind="stable")
-    for idx in order:
-        yield float(dist[idx]), float(logs[idx]), float(fit[idx])
+    return dist[order], logs[order], fit[order]
+
+
+def _index_grid(outer: np.ndarray, inner: np.ndarray):
+    """(outer, inner) index columns in row-major order, the order of ravel()."""
+    return np.repeat(outer, inner.size), np.tile(inner, outer.size)
 
 
 def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
@@ -297,41 +306,27 @@ def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
     sites = grid.sites
     artifacts = []
 
-    _write_csv(os.path.join(out_dir, "trace.csv"), _TRACE_HEADER, result.trace)
-    artifacts.append("trace.csv")
+    def write(name: str, header: list[str], *columns):
+        _atomic_write(os.path.join(out_dir, name), _csv_text(header, *columns))
+        artifacts.append(name)
 
+    write("trace.csv", _TRACE_HEADER, *zip(*result.trace))
     amp = max_amplitude_profile(result.field)
     with np.errstate(divide="ignore"):
         log_amp = np.log(amp)
-    _write_csv(os.path.join(out_dir, "profile.csv"),
-               ["n", "max_abs_amplitude", "log_amplitude"],
-               [(int(sites[i]), float(amp[i]), float(log_amp[i]))
-                for i in range(grid.n_sites)])
-    artifacts.append("profile.csv")
-
+    write("profile.csv", ["n", "max_abs_amplitude", "log_amplitude"], sites, amp, log_amp)
     samples = synthesize(result.field)
-    _write_csv(os.path.join(out_dir, "samples.csv"),
-               ["n", "t_index", "value"],
-               ((int(sites[i]), j, float(samples[i, j]))
-                for i in range(grid.n_sites) for j in range(samples.shape[1])))
-    artifacts.append("samples.csv")
-
-    _write_csv(os.path.join(out_dir, "spectrum.csv"),
-               ["n", "m", "re", "im"],
-               ((int(sites[i]), int(m), float(result.field.coeffs[i, m - 1].real),
-                 float(result.field.coeffs[i, m - 1].imag))
-                for i in range(grid.n_sites) for m in grid.harmonics))
-    artifacts.append("spectrum.csv")
-
-    _write_csv(os.path.join(out_dir, "decay.csv"),
-               ["abs_n", "log_amp", "fit_line"],
-               decay_rows(result.field, result.parity))
-    artifacts.append("decay.csv")
-
+    write("samples.csv", ["n", "t_index", "value"],
+          *_index_grid(sites, np.arange(samples.shape[1])), samples.ravel())
+    coeffs = result.field.coeffs
+    write("spectrum.csv", ["n", "m", "re", "im"],
+          *_index_grid(sites, grid.harmonics), coeffs.real.ravel(), coeffs.imag.ravel())
+    write("decay.csv", ["abs_n", "log_amp", "fit_line"],
+          *decay_columns(result.field, result.parity))
     if dump_nu:
-        _write_csv(os.path.join(out_dir, "nu_table.csv"), ["m", "j", "nu"],
-                   Multiplier.build(grid).rows())
-        artifacts.append("nu_table.csv")
+        write("nu_table.csv", ["m", "j", "nu"],
+              *_index_grid(grid.harmonics, np.arange(grid.n_sites)),
+              Multiplier.build(grid).table.ravel())
 
     manifest = build_manifest(result, config_text, artifacts, trajectory)
     path = os.path.join(out_dir, "manifest.json")
@@ -395,6 +390,8 @@ def _status_exit(status: str) -> int:
 
 def _cmd_solve(args) -> int:
     config = _config_from_args(args)
+    if args.integrate_periods:
+        validation.check_integration_args(args.integrate_periods, args.steps_per_period)
     result = solve(config)
     trajectory = None
     if args.integrate_periods:
@@ -424,15 +421,14 @@ def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
     results = continuation_sweep(config, args.omega_from, args.omega_to, args.steps)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
     for idx, res in enumerate(results):
         point_dir = os.path.join(args.out, f"point_{idx:03d}")
         point = replace(config, grid=replace(config.grid, omega=res.omega))
         emit_outputs(res, point_dir, serialize_config(point))
-        rows.append((res.omega, res.status, res.x0_norm, res.fp_residual))
         print(f"omega = {res.omega:.6f}  status = {res.status}  x0_norm = {res.x0_norm!r}")
-    _write_csv(os.path.join(args.out, "sweep.csv"),
-               ["omega", "status", "x0_norm", "fp_residual"], rows)
+    _atomic_write(os.path.join(args.out, "sweep.csv"), _csv_text(
+        ["omega", "status", "x0_norm", "fp_residual"],
+        *zip(*((res.omega, res.status, res.x0_norm, res.fp_residual) for res in results))))
     return 0
 
 
@@ -484,9 +480,8 @@ def _verify_checks(manifest: dict, manifest_dir: str):
 
     rerun = solve(config)
     with open(os.path.join(manifest_dir, "trace.csv"), newline="") as handle:
-        stored_trace = handle.read()
-    yield "reproducible_trace", _csv_text(_TRACE_HEADER, rerun.trace) == stored_trace, \
-        f"{len(rerun.trace)} iterates compared bit-identically"
+        same = handle.read() == _csv_text(_TRACE_HEADER, *zip(*rerun.trace))
+    yield "reproducible_trace", same, f"{len(rerun.trace)} iterates compared bit-identically"
 
 
 def _cmd_verify(args) -> int:
@@ -625,3 +620,7 @@ def run_command(argv) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

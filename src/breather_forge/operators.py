@@ -44,13 +44,6 @@ class Multiplier:
         table = -(grid.omega * m[:, None]) ** 2 + dispersion(_wavenumbers(grid))[None, :]
         return cls(grid.omega, table)
 
-    def rows(self):
-        """(m, j, nu) triples for the diagnostic CSV dump."""
-        n_m, n_j = self.table.shape
-        for mi in range(n_m):
-            for j in range(n_j):
-                yield mi + 1, j, self.table[mi, j]
-
 
 def _wavenumbers(grid: GridSpec) -> np.ndarray:
     return 2.0 * np.pi * np.arange(grid.n_sites) / grid.n_sites

@@ -179,6 +179,14 @@ def initial_conditions(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     return x0, y0
 
 
+def check_integration_args(periods: int, steps_per_period: int):
+    """Reject run lengths ``integrate_trajectory`` refuses, before any work."""
+    if steps_per_period < 64:
+        raise ValueError("steps_per_period must be >= 64")
+    if periods < 1:
+        raise ValueError("periods must be >= 1")
+
+
 def integrate_trajectory(x0_field: SpectralField, spec: PotentialSpec,
                          periods: int, steps_per_period: int) -> TrajectoryReport:
     """Velocity-Verlet integration of the canonical lattice equations.
@@ -191,10 +199,7 @@ def integrate_trajectory(x0_field: SpectralField, spec: PotentialSpec,
     cancels; the return error compares the state after the first exact
     period with the initial state in plain l2.
     """
-    if steps_per_period < 64:
-        raise ValueError("steps_per_period must be >= 64")
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
+    check_integration_args(periods, steps_per_period)
     grid = x0_field.grid
     x, y = initial_conditions(x0_field)
     dt = grid.period / steps_per_period

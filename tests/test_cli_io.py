@@ -1,15 +1,23 @@
+import csv
 import filecmp
+import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from breather_forge import decay_rate_fit
+import breather_forge
+from breather_forge import Multiplier, cli_io, decay_rate_fit, solver
 from breather_forge.cli_io import (CONFIG_KEYS, ConfigError, ConfigWarning,
-                                   _build_parser, _config_from_args,
-                                   field_from_spectrum_csv, load_manifest,
+                                   _TRACE_HEADER, _build_parser, _config_from_args,
+                                   _csv_text, field_from_spectrum_csv, load_manifest,
                                    parse_config, run_command,
                                    serialize_config)
 
@@ -292,3 +300,92 @@ def test_out_of_range_arguments_exit_one_with_one_error_line(argv, solved_dir, t
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--integrate-periods", "2", "--steps-per-period", "32"],
+    ["--integrate-periods", "-1"],
+], ids=["steps_per_period", "periods"])
+def test_bad_integration_arguments_fail_before_the_solve(argv, monkeypatch, tmp_path,
+                                                        capsys):
+    def no_solve(config):
+        raise AssertionError("solve ran before the integration arguments were checked")
+
+    monkeypatch.setattr(cli_io, "solve", no_solve)
+    out = tmp_path / "out"
+    rc = run_command(["solve", "--omega", "2.6", "--quartic", "1", "--n-sites", "32",
+                      "--harmonics", "8", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_module_runs_as_a_command():
+    src = str(Path(breather_forge.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "breather_forge.cli_io", "bounds",
+                           "--omega", "2.5", "--quartic", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "r_max =" in proc.stdout
+
+
+def test_nu_table_cells_are_plain_floats(solved_dir):
+    config = parse_config(load_manifest(str(solved_dir / "manifest.json"))["config_echo"])
+    table = Multiplier.build(config.grid).table
+    lines = (solved_dir / "nu_table.csv").read_text().splitlines()
+    assert lines[0] == "m,j,nu"
+    m, j, nu = zip(*(line.split(",") for line in lines[1:]))
+    n_m, n_j = table.shape
+    assert [int(v) for v in m] == [mi for mi in range(1, n_m + 1) for _ in range(n_j)]
+    assert [int(v) for v in j] == list(range(n_j)) * n_m
+    assert np.array([float(v) for v in nu]).tobytes() == table.tobytes()
+
+
+def _reference_csv(header, *columns) -> str:
+    """csv.writer with floats at repr precision: the writer's contract."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return buffer.getvalue()
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5,
+                   -4.840000000000001]
+_CELLS = {
+    "float": st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+    "int": st.integers(-2**40, 2**40),
+    "status": st.sampled_from([solver.STATUS_CONVERGED, solver.STATUS_COLLAPSED,
+                               solver.STATUS_DIVERGED, solver.STATUS_MAX_ITER,
+                               solver.STATUS_RESONANCE]),
+}
+
+
+@given(st.data(), st.integers(0, 12),
+       st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_csv_text_matches_csv_writer(data, n_rows, kinds):
+    cells = [data.draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows))
+             for kind in kinds]
+    # numeric columns arrive as arrays from emit_outputs and as lists from sweep
+    columns = [np.array(column) if kind != "status" and data.draw(st.booleans())
+               else column for kind, column in zip(kinds, cells)]
+    header = [f"c{i}" for i in range(len(columns))]
+    assert _csv_text(header, *columns) == _reference_csv(header, *cells)
+
+
+def test_csv_text_of_an_empty_trace_is_its_header():
+    assert _csv_text(_TRACE_HEADER, *zip(*[])) == "iter,fp_residual,x0_norm\r\n"
+
+
+def test_csv_text_of_a_sweep_row_with_a_nan_residual():
+    header = ["omega", "status", "x0_norm", "fp_residual"]
+    columns = [2.05], [solver.STATUS_DIVERGED], [0.5633484542080208], [math.nan]
+    text = _csv_text(header, *columns)
+    assert text == _reference_csv(header, *columns)
+    assert text == ("omega,status,x0_norm,fp_residual\r\n"
+                    "2.05,diverged,0.5633484542080208,nan\r\n")
