@@ -20,7 +20,7 @@ import os
 import sys
 import warnings
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,11 +28,11 @@ import numpy as np
 from . import validation
 from .lattice_model import MixedPotentialError, PotentialSpec
 from .operators import Multiplier, ResonanceError, probe_operator_norm
-from .solver import (BreatherResult, SolverConfig, STATUS_CONVERGED,
-                     continuation_sweep, solve)
-from .spectral_field import (GridSpec, SpectralField, WeightSpec,
+from .solver import (BreatherResult, SolverConfig, STATUS_CONVERGED, STATUS_RESONANCE,
+                     STRATEGIES, continuation_sweep, solve)
+from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec,
                              dealiased_sample_count, max_amplitude_profile,
-                             parity_projector, synthesize, time_means, x0_norm,
+                             parity_center, synthesize, time_means, x0_norm,
                              x2_norm)
 
 SCHEMA_VERSION = 1
@@ -87,10 +87,10 @@ CONFIG_KEYS = (
               "quartic force coefficient", lambda c: c.potential.quartic),
     ConfigKey("solver.parity", "parity", None, "odd", "--parity",
               "odd: site-centred, even: bond-centred", lambda c: c.parity,
-              choices=("even", "odd")),
+              choices=PARITIES),
     ConfigKey("solver.strategy", "strategy", None, "hybrid", "--strategy",
               "fixed-point iteration scheme", lambda c: c.strategy,
-              choices=("picard", "newton", "hybrid")),
+              choices=STRATEGIES),
     ConfigKey("solver.damping", "damping", float, 0.5, "--damping",
               "Picard damping in (0, 1]", lambda c: c.damping),
     ConfigKey("solver.accel_depth", "accel_depth", int, 5, "--accel-depth",
@@ -102,7 +102,8 @@ CONFIG_KEYS = (
     ConfigKey("solver.max_iter", "max_iter", int, 500, "--max-iter",
               "outer iteration budget", lambda c: c.max_iter),
     ConfigKey("solver.seed_amplitude", "seed_amplitude", float, None, "--seed-amplitude",
-              "seed scale (a file may write 'auto': the existence-ring midpoint)",
+              "seed scale (a file may write 'auto': the existence-ring midpoint, "
+              "half of r_max when that ring is empty, 0.5 without bounds)",
               lambda c: c.seed[0], auto=True),
     ConfigKey("solver.seed_width", "seed_width", float, 1.0, "--seed-width",
               "seed width in sites", lambda c: c.seed[1]),
@@ -234,24 +235,6 @@ def _csv_text(header: list[str], *columns) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-def bounds_dict(report) -> dict:
-    return {
-        "r_max": report.r_max, "r_crit": report.r_crit,
-        "nonres0_ok": report.nonres0_ok, "nonres_ok": report.nonres_ok,
-        "in_ring": report.in_ring, "x0_norm": report.x0_norm,
-    }
-
-
-def trajectory_dict(report) -> dict:
-    return {
-        "energy_drift": report.energy_drift,
-        "momentum_drift": report.momentum_drift,
-        "period_return_error": report.period_return_error,
-        "periods_integrated": report.periods_integrated,
-        "dt": report.dt,
-    }
-
-
 def build_manifest(result: BreatherResult, config_text: str,
                    artifact_paths: list[str], trajectory=None) -> dict:
     return _json_safe({
@@ -269,15 +252,15 @@ def build_manifest(result: BreatherResult, config_text: str,
             "decay_fit": result.decay_fit,
             "parity": result.parity,
         },
-        "bounds": bounds_dict(result.bounds) if result.bounds is not None else None,
-        "trajectory": trajectory_dict(trajectory) if trajectory is not None else None,
+        "bounds": asdict(result.bounds) if result.bounds is not None else None,
+        "trajectory": asdict(trajectory) if trajectory is not None else None,
         "artifact_paths": artifact_paths,
     })
 
 
 def decay_columns(field: SpectralField, parity: str):
     """(abs_n, log_amp, fit_line) columns of the decay file, nearest site first."""
-    center = -0.5 if parity == "even" else 0.0
+    center = parity_center(parity)
     amp = max_amplitude_profile(field)
     dist = np.abs(field.grid.sites - center)
     with np.errstate(divide="ignore"):
@@ -287,7 +270,7 @@ def decay_columns(field: SpectralField, parity: str):
         mask = validation.tail_mask(amp)
         intercept = float(np.mean(logs[mask] + lam_eff * dist[mask]))
         fit = intercept - lam_eff * dist
-    except (validation.InsufficientTailError, ValueError):
+    except ValueError:  # InsufficientTailError among them
         fit = np.full_like(dist, float("nan"))
     order = np.argsort(dist, kind="stable")
     return dist[order], logs[order], fit[order]
@@ -340,14 +323,27 @@ def load_manifest(path: str) -> dict:
 
 
 def field_from_spectrum_csv(path: str, grid: GridSpec) -> SpectralField:
-    coeffs = np.zeros((grid.n_sites, grid.n_harmonics), dtype=complex)
-    half = grid.n_sites // 2
+    """The field in a spectrum file, which must hold every site n of the grid
+    and harmonic m in 1..M exactly once, in any order; else a ValueError."""
+    n_sites, n_harm = grid.n_sites, grid.n_harmonics
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        next(reader)
-        for n, m, re_part, im_part in reader:
-            coeffs[int(n) + half, int(m) - 1] = float(re_part) + 1j * float(im_part)
-    return SpectralField(grid, coeffs)
+        next(reader, None)
+        columns = list(zip(*reader, strict=True))  # a row of another length raises
+    n, m, re_part, im_part = columns or [()] * 4
+    row = np.array(n, dtype=int) + n_sites // 2
+    col = np.array(m, dtype=int) - 1
+    inside = (row >= 0) & (row < n_sites) & (col >= 0) & (col < n_harm)
+    flat = row * n_harm + col
+    held = np.count_nonzero(np.bincount(flat[inside], minlength=n_sites * n_harm))
+    if held != flat.size or held != n_sites * n_harm:
+        raise ValueError(
+            f"{path}: expected one row for each site n in {-(n_sites // 2)}.."
+            f"{n_sites // 2 - 1} and harmonic m in 1..{n_harm}; "
+            f"{n_sites * n_harm - held} missing, {flat.size - held} out of range or repeated")
+    coeffs = np.empty(n_sites * n_harm, dtype=complex)
+    coeffs[flat] = np.array(re_part, dtype=float) + 1j * np.array(im_part, dtype=float)
+    return SpectralField(grid, coeffs.reshape(n_sites, n_harm))
 
 
 def _probe_seed() -> int:
@@ -381,11 +377,7 @@ def _config_from_args(args) -> SolverConfig:
 
 
 def _status_exit(status: str) -> int:
-    if status == STATUS_CONVERGED:
-        return 0
-    if status == "resonance":
-        return 3
-    return 2
+    return {STATUS_CONVERGED: 0, STATUS_RESONANCE: 3}.get(status, 2)
 
 
 def _cmd_solve(args) -> int:
@@ -423,8 +415,7 @@ def _cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for idx, res in enumerate(results):
         point_dir = os.path.join(args.out, f"point_{idx:03d}")
-        point = replace(config, grid=replace(config.grid, omega=res.omega))
-        emit_outputs(res, point_dir, serialize_config(point))
+        emit_outputs(res, point_dir, serialize_config(config.with_omega(res.omega)))
         print(f"omega = {res.omega:.6f}  status = {res.status}  x0_norm = {res.x0_norm!r}")
     _atomic_write(os.path.join(args.out, "sweep.csv"), _csv_text(
         ["omega", "status", "x0_norm", "fp_residual"],
@@ -432,11 +423,19 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _verify_checks(manifest: dict, manifest_dir: str):
-    """Yield (name, ok, detail) triples for every verification check."""
+def _read_solution(manifest_path: str):
+    """(manifest, its directory, config, stored field) of a solve's output."""
+    manifest = load_manifest(manifest_path)
+    manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
     config = parse_config(manifest["config_echo"])
+    field = field_from_spectrum_csv(os.path.join(manifest_dir, "spectrum.csv"), config.grid)
+    return manifest, manifest_dir, config, field
+
+
+def _verify_checks(manifest: dict, manifest_dir: str, config: SolverConfig,
+                   field: SpectralField):
+    """Yield (name, ok, detail) triples for every verification check."""
     grid = config.grid
-    field = field_from_spectrum_csv(os.path.join(manifest_dir, "spectrum.csv"), grid)
     rec = manifest["result"]
 
     yield "schema_version", manifest.get("schema_version") == SCHEMA_VERSION, \
@@ -447,9 +446,7 @@ def _verify_checks(manifest: dict, manifest_dir: str):
     ok = stored is not None and abs(norm0 - stored) <= 1e-12 * max(1.0, abs(stored))
     yield "x0_norm_matches", ok, f"recomputed {norm0!r} vs stored {stored!r}"
 
-    project = parity_projector(config.parity)
-    dev = x0_norm(field.with_coeffs(field.coeffs - project(field).coeffs), config.weight)
-    rel_dev = dev / norm0 if norm0 > 0.0 else dev
+    rel_dev = validation.parity_deviation(field, config.parity, config.weight, norm0)
     yield "parity_relation", rel_dev <= 1e-12, f"relative deviation {rel_dev!r}"
 
     peak = float(np.max(np.abs(synthesize(field)))) or 1.0
@@ -458,7 +455,8 @@ def _verify_checks(manifest: dict, manifest_dir: str):
 
     if rec["status"] == STATUS_CONVERGED:
         strong = validation.strong_residual(field, config.potential, config.weight)
-        limit = 10.0 * config.tol_residual * x2_norm(field, config.weight)
+        limit = validation.strong_residual_limit(config.tol_residual,
+                                                 x2_norm(field, config.weight))
         yield "strong_residual", strong <= limit, f"{strong!r} <= {limit!r}"
 
         floor = validation.boundary_floor(field)
@@ -485,21 +483,15 @@ def _verify_checks(manifest: dict, manifest_dir: str):
 
 
 def _cmd_verify(args) -> int:
-    manifest = load_manifest(args.manifest)
-    manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
     all_ok = True
-    for name, ok, detail in _verify_checks(manifest, manifest_dir):
+    for name, ok, detail in _verify_checks(*_read_solution(args.manifest)):
         all_ok &= ok
         print(f"CHECK {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     return 0 if all_ok else 1
 
 
 def _cmd_integrate(args) -> int:
-    manifest = load_manifest(args.manifest)
-    config = parse_config(manifest["config_echo"])
-    manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
-    field = field_from_spectrum_csv(os.path.join(manifest_dir, "spectrum.csv"),
-                                    config.grid)
+    _, manifest_dir, config, field = _read_solution(args.manifest)
     try:
         report = validation.integrate_trajectory(field, config.potential,
                                                  args.periods, args.steps_per_period)
@@ -509,7 +501,7 @@ def _cmd_integrate(args) -> int:
     out_dir = args.out or manifest_dir
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "trajectory.json"),
-                  json.dumps(_json_safe(trajectory_dict(report)), indent=2) + "\n")
+                  json.dumps(_json_safe(asdict(report)), indent=2) + "\n")
     print(f"period_return_error = {report.period_return_error!r}")
     print(f"energy_drift = {report.energy_drift!r}")
     print(f"momentum_drift = {report.momentum_drift!r}")

@@ -41,12 +41,9 @@ class PotentialSpec:
         return self.cubic == 0.0 or self.quartic == 0.0
 
     @property
-    def kbar(self) -> float:
-        return growth_bound(self)[0]
-
-    @property
-    def growth_alpha(self) -> float:
-        return growth_bound(self)[1]
+    def has_growth_pair(self) -> bool:
+        """Pure and anharmonic: ``growth_bound`` has a global pair with kbar > 0."""
+        return self.is_pure and not self.is_harmonic
 
     @property
     def wprime_degree(self) -> int:
@@ -177,12 +174,16 @@ def from_relative(x, y) -> PhysicalState:
     return PhysicalState(q=q, p=p, deformation=float(np.sum(x)))
 
 
+def energy_sum(p: np.ndarray, v: np.ndarray) -> float:
+    """Lattice energy sum_n p_n^2/2 + V(x_n) from momenta p and values V(x)."""
+    return float(np.sum(0.5 * p**2 + v))
+
+
 def hamiltonian(x, y, spec: PotentialSpec) -> float:
     """Chain energy in relative variables, sum of (y_n - y_{n+1})^2/2 + V(x_n)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    p = y - np.append(y[1:], 0.0)
-    return float(np.sum(0.5 * p**2 + eval_potential(spec, x).V))
+    return energy_sum(y - np.append(y[1:], 0.0), eval_potential(spec, x).V)
 
 
 def momentum(p) -> float:

@@ -16,9 +16,9 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import validation
-from .lattice_model import PotentialSpec, growth_bound
+from .lattice_model import PotentialSpec
 from .operators import apply_S, linearize_S, ResonanceError
-from .spectral_field import (GridSpec, SpectralField, WeightSpec,
+from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec,
                              dealiased_sample_count, parity_projector,
                              seed_field, x0_norm, x2_norm, zero_field)
 from .validation import BoundsReport
@@ -31,6 +31,8 @@ STATUS_COLLAPSED = "collapsed_to_zero"
 STATUS_DIVERGED = "diverged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_RESONANCE = "resonance"
+
+STRATEGIES = ("picard", "newton", "hybrid")
 
 
 @dataclass(frozen=True)
@@ -56,10 +58,14 @@ class SolverConfig:
             raise ValueError("accel_depth must be >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.parity not in ("even", "odd"):
+        if self.parity not in PARITIES:
             raise ValueError(f"unknown parity {self.parity!r}")
-        if self.strategy not in ("picard", "newton", "hybrid"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+
+    def with_omega(self, omega: float) -> "SolverConfig":
+        """This config at another frequency."""
+        return replace(self, grid=replace(self.grid, omega=omega))
 
 
 @dataclass
@@ -100,11 +106,7 @@ def default_seed_amplitude(config: SolverConfig) -> float:
     condition, half of r_max under the plain one, and a plain 0.5 for
     potentials without a global growth pair.
     """
-    try:
-        kbar, _ = growth_bound(config.potential)
-    except Exception:
-        return 0.5
-    if kbar == 0.0:
+    if not config.potential.has_growth_pair:
         return 0.5
     report = validation.bounds_report(config.grid.omega, config.weight,
                                       config.potential, 0.0)
@@ -129,44 +131,38 @@ def build_seed(config: SolverConfig) -> SpectralField:
 
 def _finalize(config: SolverConfig, fld: SpectralField, status: str,
               fp_residual: float, trace: list) -> BreatherResult:
-    grid = config.grid
     norm0 = x0_norm(fld, config.weight)
-    norm2 = x2_norm(fld, config.weight)
-    project = parity_projector(config.parity)
-    dev = x0_norm(fld.with_coeffs(fld.coeffs - project(fld).coeffs), config.weight)
-    parity_deviation = dev / norm0 if norm0 > 0.0 else dev
-    strong = validation.strong_residual(fld, config.potential, config.weight)
-    decay = float("nan")
-    if status == STATUS_CONVERGED:
-        try:
-            center = -0.5 if config.parity == "even" else 0.0
-            decay, _ = validation.fit_decay_profile(
-                validation.max_amplitude_profile(fld), center)
-        except validation.InsufficientTailError:
-            pass
-    bounds = None
-    if config.potential.is_pure and not config.potential.is_harmonic:
-        bounds = validation.bounds_report(grid.omega, config.weight,
-                                          config.potential, norm0)
-    return BreatherResult(
-        field=fld, omega=grid.omega, iterations=len(trace) - 1 if trace else 0,
-        fp_residual=fp_residual, strong_residual=strong,
-        x0_norm=norm0, x2_norm=norm2, parity_deviation=parity_deviation,
-        decay_fit=decay, bounds=bounds, status=status,
+    bounds = (validation.bounds_report(config.grid.omega, config.weight, config.potential, norm0)
+              if config.potential.has_growth_pair else None)
+    result = BreatherResult(
+        field=fld, omega=config.grid.omega, iterations=len(trace) - 1 if trace else 0,
+        fp_residual=fp_residual,
+        strong_residual=validation.strong_residual(fld, config.potential, config.weight),
+        x0_norm=norm0, x2_norm=x2_norm(fld, config.weight),
+        parity_deviation=validation.parity_deviation(fld, config.parity,
+                                                     config.weight, norm0),
+        decay_fit=float("nan"), bounds=bounds, status=status,
         parity=config.parity, weight=config.weight, potential=config.potential,
         trace=list(trace))
+    if status == STATUS_CONVERGED:
+        try:
+            result.decay_fit, _ = validation.decay_rate_fit(result)
+        except validation.InsufficientTailError:
+            pass
+    return result
 
 
 def _solves_strong_form(config: SolverConfig, fld: SpectralField) -> bool:
-    """The strong-residual limit ``verify`` applies to a converged field:
-    ||M u - N u||_X0 <= 10 tol ||u||_X2.
+    """The strong-residual limit ``verify`` applies to a converged field
+    (``validation.strong_residual_limit``).
 
     A fixed-point residual below tol does not always imply it, because the
     two norms weigh the harmonics differently: a Newton step that lands just
     under tol has been measured at 11 times tol in the strong form.
     """
     strong = validation.strong_residual(fld, config.potential, config.weight)
-    return strong <= 10.0 * config.tol_residual * x2_norm(fld, config.weight)
+    return strong <= validation.strong_residual_limit(config.tol_residual,
+                                                      x2_norm(fld, config.weight))
 
 
 def _norm_guard(config: SolverConfig, norm: float, trace: list) -> str | None:
@@ -453,14 +449,14 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
     carry: SpectralField | None = None
     last_good_omega: float | None = None
     for omega in omegas:
-        cfg = _with_omega(config, float(omega))
+        cfg = config.with_omega(float(omega))
         try:
             res = solve(cfg, _regrid(carry, cfg.grid))
         except ResonanceError:
             results.append(_resonance_placeholder(cfg))
             continue
         if res.status != STATUS_CONVERGED and carry is not None and last_good_omega is not None:
-            mid_cfg = _with_omega(config, 0.5 * (last_good_omega + float(omega)))
+            mid_cfg = config.with_omega(0.5 * (last_good_omega + float(omega)))
             try:
                 mid = solve(mid_cfg, _regrid(carry, mid_cfg.grid))
                 if mid.status == STATUS_CONVERGED:
@@ -471,12 +467,6 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
         if res.status == STATUS_CONVERGED:
             carry, last_good_omega = res.field, float(omega)
     return results
-
-
-def _with_omega(config: SolverConfig, omega: float) -> SolverConfig:
-    grid = config.grid
-    return replace(config, grid=GridSpec(grid.n_sites, grid.n_harmonics,
-                                         grid.n_time_samples, omega))
 
 
 def _regrid(field: SpectralField | None, grid: GridSpec) -> SpectralField | None:

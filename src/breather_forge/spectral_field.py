@@ -5,6 +5,7 @@ complex coefficients c[i, j] for harmonics m = j+1 in 1..M; negative
 harmonics are implied by conjugation, so synthesized samples are real.
 Storage row i corresponds to physical site n = i - N/2, i.e. the lattice
 circle is laid out left to right with the origin at the centre.
+The parity class (names, reflection centre, projector) is defined here only.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class WeightSpec:
 
     @classmethod
     def for_parity(cls, lam: float, parity: str) -> "WeightSpec":
-        return cls(lam, -0.5 if parity == "even" else 0.0)
+        return cls(lam, parity_center(parity))
 
 
 @dataclass(frozen=True)
@@ -141,28 +142,25 @@ def analyze(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     return SpectralField(grid, spectrum[:, 1:grid.n_harmonics + 1].astype(complex))
 
 
-def weights(grid: GridSpec, w: WeightSpec) -> np.ndarray:
-    """Per-site weights exp(lam*|n - center|); guards against overflow."""
-    if w.lam * (grid.n_sites / 2) > 700.0:
+def _site_weights(n_sites: int, w: WeightSpec) -> np.ndarray:
+    """exp(lam*|n - center|) at sites n = -N/2 .. N/2-1; guards against overflow."""
+    if w.lam * (n_sites / 2) > 700.0:
         raise WeightOverflowError("weight overflow: lam * N/2 exceeds 700")
-    return np.exp(w.lam * np.abs(grid.sites - w.center))
+    return np.exp(w.lam * np.abs(np.arange(n_sites) - n_sites // 2 - w.center))
 
 
-def weighted_profile_norm(profile: np.ndarray, w: WeightSpec,
-                          center_index: int | None = None) -> float:
+def weights(grid: GridSpec, w: WeightSpec) -> np.ndarray:
+    """Per-site weights exp(lam*|n - center|) of the grid's sites."""
+    return _site_weights(grid.n_sites, w)
+
+
+def weighted_profile_norm(profile: np.ndarray, w: WeightSpec) -> float:
     """sqrt(sum_n exp(lam*|n - center|) * |u_n|^2) over a site profile.
 
-    The profile is indexed in storage order; physical indices are recovered
-    from its length (centre at len//2) unless ``center_index`` is given.
+    The profile is indexed in storage order, centre at len//2.
     """
     profile = np.asarray(profile, dtype=float)
-    n = profile.size
-    half = n // 2 if center_index is None else center_index
-    sites = np.arange(n) - half
-    if w.lam * (n / 2) > 700.0:
-        raise WeightOverflowError("weight overflow: lam * N/2 exceeds 700")
-    wn = np.exp(w.lam * np.abs(sites - w.center))
-    return float(np.sqrt(np.sum(wn * profile**2)))
+    return float(np.sqrt(np.sum(_site_weights(profile.size, w) * profile**2)))
 
 
 def x0_norm(field: SpectralField, w: WeightSpec) -> float:
@@ -205,6 +203,14 @@ def project_odd(field: SpectralField) -> SpectralField:
     return field.with_coeffs(0.5 * (field.coeffs - sgn[None, :] * flip))
 
 
+PARITIES = ("even", "odd")
+
+
+def parity_center(parity: str) -> float:
+    """Reflection centre of a parity class: bond -1/2 (even) or site 0 (odd)."""
+    return -0.5 if parity == "even" else 0.0
+
+
 def parity_projector(parity: str):
     if parity == "even":
         return project_even
@@ -224,7 +230,7 @@ def seed_field(grid: GridSpec, parity: str, amplitude: float, width: float) -> S
     """
     if amplitude < 0.0 or width <= 0.0:
         raise ValueError("seed amplitude must be >= 0 and width > 0")
-    center = -0.5 if parity == "even" else 0.0
+    center = parity_center(parity)
     profile = amplitude / np.cosh(width * (grid.sites - center))
     if parity == "even":
         profile = profile * np.sign(grid.sites - center)

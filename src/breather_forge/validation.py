@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice_model import PotentialSpec, eval_potential, force, growth_bound
+from .lattice_model import PotentialSpec, energy_sum, eval_potential, force, growth_bound
 from .operators import apply_M, apply_N
-from .spectral_field import (SpectralField, WeightSpec,
-                             max_amplitude_profile, synthesize, x0_norm)
+from .spectral_field import (SpectralField, WeightSpec, max_amplitude_profile,
+                             parity_center, parity_projector, synthesize, x0_norm)
 
 
 class InsufficientTailError(ValueError):
@@ -81,15 +81,14 @@ def tail_mask(amplitudes: np.ndarray) -> np.ndarray:
     return (amplitudes >= 1e-12 * peak) & (amplitudes <= 1e-2 * peak)
 
 
-def fit_decay_profile(amplitudes: np.ndarray, center: float,
-                      center_index: int | None = None) -> tuple[float, float]:
+def fit_decay_profile(amplitudes: np.ndarray, center: float) -> tuple[float, float]:
     """Least-squares decay rate of log max-amplitude against distance.
 
     Fits log(amp_n) = a - lambda_eff * |n - center| over the sites of
-    ``tail_mask``.
+    ``tail_mask``; the profile is in storage order, site 0 at len//2.
     """
     amp = np.asarray(amplitudes, dtype=float)
-    half = amp.size // 2 if center_index is None else center_index
+    half = amp.size // 2
     if float(np.max(amp)) <= 0.0:
         raise InsufficientTailError("profile is identically zero")
     mask = tail_mask(amp)
@@ -110,8 +109,15 @@ def decay_rate_fit(result) -> tuple[float, float]:
     """Decay rate and goodness of fit for a converged solve result."""
     if result.status != "converged":
         raise ValueError(f"decay fit needs a converged result, got {result.status!r}")
-    center = -0.5 if result.parity == "even" else 0.0
-    return fit_decay_profile(max_amplitude_profile(result.field), center)
+    return fit_decay_profile(max_amplitude_profile(result.field), parity_center(result.parity))
+
+
+def parity_deviation(field: SpectralField, parity: str, weight: WeightSpec,
+                     norm0: float) -> float:
+    """||u - P u||_X0 / ||u||_X0 for the class's projector P; norm0 is ||u||_X0."""
+    projected = parity_projector(parity)(field)
+    dev = x0_norm(field.with_coeffs(field.coeffs - projected.coeffs), weight)
+    return dev / norm0 if norm0 > 0.0 else dev
 
 
 def strong_residual(field: SpectralField, spec: PotentialSpec,
@@ -119,6 +125,11 @@ def strong_residual(field: SpectralField, spec: PotentialSpec,
     """Residual ||M(u) - N(u)||_X0 of the second-order equation; zero at solutions."""
     diff = apply_M(field).coeffs - apply_N(field, spec).coeffs
     return x0_norm(field.with_coeffs(diff), weight)
+
+
+def strong_residual_limit(tol_residual: float, x2: float) -> float:
+    """Largest strong residual of a converged field, 10 tol ||u||_X2; x2 is ||u||_X2."""
+    return 10.0 * tol_residual * x2
 
 
 def classical_residual(field: SpectralField, spec: PotentialSpec) -> float:
@@ -154,8 +165,7 @@ def _periodic_momenta(y: np.ndarray) -> np.ndarray:
 
 
 def _periodic_energy(x: np.ndarray, y: np.ndarray, spec: PotentialSpec) -> float:
-    p = _periodic_momenta(y)
-    return float(np.sum(0.5 * p**2 + eval_potential(spec, x).V))
+    return energy_sum(_periodic_momenta(y), eval_potential(spec, x).V)
 
 
 def initial_conditions(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:

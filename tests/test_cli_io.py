@@ -222,6 +222,55 @@ def test_spectrum_reload_is_exact(solved_dir, flagship_result):
     assert np.array_equal(field.coeffs, flagship_result.field.coeffs)
 
 
+def _shift_first_row(column, shift):
+    """An edit of spectrum rows: move the first row's n (column 0) or m (1)."""
+    def edit(rows):
+        cells = rows[0].split(",")
+        cells[column] = str(int(cells[column]) + shift)
+        return [",".join(cells), *rows[1:]]
+    return edit
+
+
+# the first row is n = -32, m = 1 on the 64-site, 16-harmonic grid
+@pytest.mark.parametrize("edit", [
+    _shift_first_row(0, 64), _shift_first_row(0, -1), _shift_first_row(1, -1),
+    lambda rows: rows[:99], lambda rows: [rows[0], *rows[:-1]],
+], ids=["n_past_last_site", "n_before_first_site", "m_zero", "cut_to_99_rows",
+        "repeated_row"])
+def test_spectrum_reader_rejects_rows_off_the_grid(edit, solved_dir, tmp_path):
+    config = parse_config(load_manifest(str(solved_dir / "manifest.json"))["config_echo"])
+    header, *rows = (solved_dir / "spectrum.csv").read_text().splitlines()
+    path = tmp_path / "spectrum.csv"
+    path.write_text("\r\n".join([header, *edit(rows)]) + "\r\n")
+    with pytest.raises(ValueError, match="spectrum.csv: expected one row"):
+        field_from_spectrum_csv(str(path), config.grid)
+
+
+def test_spectrum_reader_takes_rows_in_any_order(solved_dir, tmp_path):
+    config = parse_config(load_manifest(str(solved_dir / "manifest.json"))["config_echo"])
+    header, *rows = (solved_dir / "spectrum.csv").read_text().splitlines()
+    path = tmp_path / "spectrum.csv"
+    path.write_text("\r\n".join([header, *rows[::-1]]) + "\r\n")
+    reread = field_from_spectrum_csv(str(path), config.grid)
+    original = field_from_spectrum_csv(str(solved_dir / "spectrum.csv"), config.grid)
+    assert np.array_equal(reread.coeffs, original.coeffs)
+
+
+@pytest.mark.parametrize("command", ["verify", "integrate"])
+def test_truncated_spectrum_exits_one_with_one_error_line(command, solved_dir, tmp_path,
+                                                          capsys):
+    for name in ("manifest.json", "trace.csv"):
+        (tmp_path / name).write_bytes((solved_dir / name).read_bytes())
+    lines = (solved_dir / "spectrum.csv").read_text().splitlines()
+    (tmp_path / "spectrum.csv").write_text("\r\n".join(lines[:100]) + "\r\n")
+    rc = run_command([command, "--manifest", str(tmp_path / "manifest.json")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "spectrum.csv" in captured.err
+    assert "CHECK" not in captured.out
+
+
 def test_decay_file_slope_matches_fit(solved_dir, flagship_result):
     lam_eff, _ = decay_rate_fit(flagship_result)
     rows = (solved_dir / "decay.csv").read_text().strip().splitlines()[1:]

@@ -8,7 +8,7 @@ from breather_forge import (GridSpec, PotentialSpec, ResonanceError,
                             SolverConfig, WeightSpec, continuation_sweep,
                             hybrid_solve, newton_solve, picard_solve, refine,
                             synthesize, time_means, x0_norm, zero_field)
-from breather_forge.solver import _picard_phase, build_seed
+from breather_forge.solver import _picard_phase, build_seed, default_seed_amplitude
 
 from conftest import QUARTIC, flagship_config
 from oracles import central_block, profile_at_t0, shooting_orbit, staggered_guess
@@ -133,6 +133,21 @@ def test_default_seed_targets_ring_midpoint():
     seed = build_seed(cfg)
     target = 0.5 * ((4.0 / 3.0) ** 0.5 + (4.0 / 3.0) ** (1.0 / 3.0))
     assert x0_norm(seed, cfg.weight) == pytest.approx(target, rel=1e-12)
+
+
+@pytest.mark.parametrize("omega, potential, expected", [
+    # strengthened non-resonance (omega^2 = 12 > 4 + 6): the ring midpoint
+    (math.sqrt(12.0), QUARTIC, 0.5 * ((4.0 / 3.0) ** 0.5 + (4.0 / 3.0) ** (1.0 / 3.0))),
+    # only the band condition: the ring is empty (r_crit 0.519 > r_max 0.374)
+    (2.2, QUARTIC, 0.5 * 0.14 ** 0.5),
+    # no global growth pair
+    (2.2, PotentialSpec(cubic=0.3, quartic=1.0), 0.5),
+    (2.2, PotentialSpec(), 0.5),
+], ids=["ring_midpoint", "half_r_max", "mixed", "harmonic"])
+def test_default_seed_amplitude_in_each_case(omega, potential, expected):
+    cfg = SolverConfig(grid=GridSpec(64, 16, 130, omega), weight=WeightSpec(0.0),
+                       potential=potential, seed=(None, 1.0))
+    assert default_seed_amplitude(cfg) == pytest.approx(expected, rel=1e-12)
 
 
 def test_ring_membership_at_high_frequency():
