@@ -31,9 +31,8 @@ from .operators import Multiplier, ResonanceError, probe_operator_norm
 from .solver import (BreatherResult, SolverConfig, STATUS_CONVERGED, STATUS_RESONANCE,
                      STRATEGIES, continuation_sweep, solve)
 from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec,
-                             dealiased_sample_count, max_amplitude_profile,
-                             parity_center, synthesize, time_means, x0_norm,
-                             x2_norm)
+                             dealiased_sample_count, parity_center, synthesize,
+                             time_means, x0_norm, x2_norm)
 
 SCHEMA_VERSION = 1
 _TRACE_HEADER = ["iter", "fp_residual", "x0_norm"]
@@ -65,6 +64,8 @@ class ConfigKey:
     def parse(self, raw: str):
         if self.auto and raw == "auto":
             return None
+        if self.choices is not None and raw not in self.choices:
+            raise ValueError(raw)
         return raw if self.type is None else self.type(raw)
 
 
@@ -82,7 +83,10 @@ CONFIG_KEYS = (
     ConfigKey("weight.lambda", "lam", float, 0.0, "--lambda",
               "weight decay rate", lambda c: c.weight.lam),
     ConfigKey("potential.cubic", "cubic", float, 0.0, "--cubic",
-              "cubic force coefficient", lambda c: c.potential.cubic),
+              "cubic force coefficient; both parity classes map u to -u and "
+              "project this even term out, so cubic-only solves collapse and "
+              "mixed ones end max_iter (the m=0 DC strain mode is not represented)",
+              lambda c: c.potential.cubic),
     ConfigKey("potential.quartic", "quartic", float, 0.0, "--quartic",
               "quartic force coefficient", lambda c: c.potential.quartic),
     ConfigKey("solver.parity", "parity", None, "odd", "--parity",
@@ -139,8 +143,9 @@ def _parse_lines(text: str) -> dict[str, object]:
         try:
             values[key] = row.parse(value)
         except ValueError:
-            problems.append(f"line {lineno}: {key} must be {_TYPE_NAMES[row.type]}, "
-                            f"got {value!r}")
+            expected = (_TYPE_NAMES[row.type] if row.choices is None
+                        else "one of " + ", ".join(row.choices))
+            problems.append(f"line {lineno}: {key} must be {expected}, got {value!r}")
     if problems:
         raise ConfigError("; ".join(problems))
     return values
@@ -258,11 +263,11 @@ def build_manifest(result: BreatherResult, config_text: str,
     })
 
 
-def decay_columns(field: SpectralField, parity: str):
-    """(abs_n, log_amp, fit_line) columns of the decay file, nearest site first."""
+def decay_columns(amp: np.ndarray, sites: np.ndarray, parity: str):
+    """(abs_n, log_amp, fit_line) columns of the decay file, nearest site first,
+    from the max-amplitude profile ``amp`` over ``sites``."""
     center = parity_center(parity)
-    amp = max_amplitude_profile(field)
-    dist = np.abs(field.grid.sites - center)
+    dist = np.abs(sites - center)
     with np.errstate(divide="ignore"):
         logs = np.log(amp)
     try:
@@ -294,18 +299,18 @@ def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
         artifacts.append(name)
 
     write("trace.csv", _TRACE_HEADER, *zip(*result.trace))
-    amp = max_amplitude_profile(result.field)
+    samples = synthesize(result.field)  # profile, samples and decay files read these
+    amp = np.max(np.abs(samples), axis=1)
     with np.errstate(divide="ignore"):
         log_amp = np.log(amp)
     write("profile.csv", ["n", "max_abs_amplitude", "log_amplitude"], sites, amp, log_amp)
-    samples = synthesize(result.field)
     write("samples.csv", ["n", "t_index", "value"],
           *_index_grid(sites, np.arange(samples.shape[1])), samples.ravel())
     coeffs = result.field.coeffs
     write("spectrum.csv", ["n", "m", "re", "im"],
           *_index_grid(sites, grid.harmonics), coeffs.real.ravel(), coeffs.imag.ravel())
     write("decay.csv", ["abs_n", "log_amp", "fit_line"],
-          *decay_columns(result.field, result.parity))
+          *decay_columns(amp, sites, result.parity))
     if dump_nu:
         write("nu_table.csv", ["m", "j", "nu"],
               *_index_grid(grid.harmonics, np.arange(grid.n_sites)),

@@ -129,14 +129,31 @@ def build_seed(config: SolverConfig) -> SpectralField:
     return seed
 
 
-def _finalize(config: SolverConfig, fld: SpectralField, status: str,
-              fp_residual: float, trace: list) -> BreatherResult:
+@dataclass
+class _Outcome:
+    """How a Picard or Newton phase ended.
+
+    A None status means the phase stopped at a handover point, a stall or its
+    budget; a solve that ends there reports ``max_iter``.  ``best_field`` is
+    Picard's lowest-residual iterate, which a hybrid solve hands to Newton.
+    """
+
+    status: str | None
+    field: SpectralField
+    fp_residual: float
+    best_field: SpectralField | None = None
+    best_residual: float = float("inf")
+
+
+def _finalize(config: SolverConfig, out: _Outcome, trace: list) -> BreatherResult:
+    fld = out.field
     norm0 = x0_norm(fld, config.weight)
     bounds = (validation.bounds_report(config.grid.omega, config.weight, config.potential, norm0)
               if config.potential.has_growth_pair else None)
+    status = out.status if out.status is not None else STATUS_MAX_ITER
     result = BreatherResult(
         field=fld, omega=config.grid.omega, iterations=len(trace) - 1 if trace else 0,
-        fp_residual=fp_residual,
+        fp_residual=out.fp_residual,
         strong_residual=validation.strong_residual(fld, config.potential, config.weight),
         x0_norm=norm0, x2_norm=x2_norm(fld, config.weight),
         parity_deviation=validation.parity_deviation(fld, config.parity,
@@ -152,30 +169,36 @@ def _finalize(config: SolverConfig, fld: SpectralField, status: str,
     return result
 
 
-def _solves_strong_form(config: SolverConfig, fld: SpectralField) -> bool:
-    """The strong-residual limit ``verify`` applies to a converged field
-    (``validation.strong_residual_limit``).
+def _residual(config: SolverConfig, fld: SpectralField) -> SpectralField:
+    """P S(x) - x for an iterate x of the parity class, P its projector."""
+    project = parity_projector(config.parity)
+    return fld.with_coeffs(project(apply_S(fld, config.potential)).coeffs - fld.coeffs)
 
-    A fixed-point residual below tol does not always imply it, because the
-    two norms weigh the harmonics differently: a Newton step that lands just
-    under tol has been measured at 11 times tol in the strong form.
+
+def _evaluate(config: SolverConfig, fld: SpectralField, trace: list):
+    """(status, residual, fp_residual) of an iterate; appends its trace row.
+
+    The status is collapse or divergence by the X0 norm (no residual then,
+    and a nan row), converged, or None while iteration should go on.  A
+    converged field also meets the strong-residual limit ``verify`` applies
+    (``validation.strong_residual_limit``): a fixed-point residual below tol
+    does not always imply it, because the two norms weigh the harmonics
+    differently, and a Newton step that lands just under tol has been
+    measured at 11 times tol in the strong form.
     """
-    strong = validation.strong_residual(fld, config.potential, config.weight)
-    return strong <= validation.strong_residual_limit(config.tol_residual,
-                                                      x2_norm(fld, config.weight))
-
-
-def _norm_guard(config: SolverConfig, norm: float, trace: list) -> str | None:
-    """Collapse or divergence status of an iterate of X0 norm ``norm``, with
-    its ``nan`` trace row appended; None while the iterate is usable."""
-    if norm <= config.tol_zero:
-        status = STATUS_COLLAPSED
-    elif norm > DIVERGENCE_NORM:
-        status = STATUS_DIVERGED
-    else:
-        return None
-    trace.append((len(trace), float("nan"), norm))
-    return status
+    norm = x0_norm(fld, config.weight)
+    if norm <= config.tol_zero or norm > DIVERGENCE_NORM:
+        trace.append((len(trace), float("nan"), norm))
+        status = STATUS_COLLAPSED if norm <= config.tol_zero else STATUS_DIVERGED
+        return status, None, float("nan")
+    res_field = _residual(config, fld)
+    fp_res = x0_norm(res_field, config.weight) / norm
+    trace.append((len(trace), fp_res, norm))
+    converged = (fp_res <= config.tol_residual
+                 and validation.strong_residual(fld, config.potential, config.weight)
+                 <= validation.strong_residual_limit(config.tol_residual,
+                                                     x2_norm(fld, config.weight)))
+    return (STATUS_CONVERGED if converged else None), res_field, fp_res
 
 
 def _anderson_step(x_hist: list, f_hist: list, theta: float) -> np.ndarray:
@@ -198,18 +221,9 @@ def _anderson_step(x_hist: list, f_hist: list, theta: float) -> np.ndarray:
     return x_k + theta * f_k - (dx + theta * df) @ gamma
 
 
-@dataclass
-class _PicardOutcome:
-    status: str | None  # None: budget or stall, caller may continue
-    field: SpectralField
-    fp_residual: float
-    best_field: SpectralField
-    best_residual: float
-
-
 def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
                   trace: list, stall_window: int = 8,
-                  handover_residual: float | None = None) -> _PicardOutcome:
+                  handover_residual: float | None = None) -> _Outcome:
     """Damped/accelerated fixed-point iteration.
 
     A None status means a handover point was reached (residual below the
@@ -223,25 +237,14 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
     best_field, best_res = x_field, float("inf")
     since_best = 0
     for _ in range(budget):
-        norm = x0_norm(x_field, config.weight)
-        status = _norm_guard(config, norm, trace)
-        if status is not None:
-            return _PicardOutcome(status, x_field, float("nan"), best_field, best_res)
-        g_field = project(apply_S(x_field, config.potential))
-        res_field = x_field.with_coeffs(g_field.coeffs - x_field.coeffs)
-        fp_res = x0_norm(res_field, config.weight) / norm
-        trace.append((len(trace), fp_res, norm))
+        status, res_field, fp_res = _evaluate(config, x_field, trace)
         if fp_res < best_res:
             best_field, best_res, since_best = x_field, fp_res, 0
         else:
             since_best += 1
-        if fp_res <= config.tol_residual and _solves_strong_form(config, x_field):
-            return _PicardOutcome(STATUS_CONVERGED, x_field, fp_res,
-                                  x_field, fp_res)
-        if handover_residual is not None and fp_res <= handover_residual:
-            return _PicardOutcome(None, x_field, fp_res, x_field, fp_res)
-        if since_best >= stall_window:
-            return _PicardOutcome(None, x_field, fp_res, best_field, best_res)
+        if (status is not None or since_best >= stall_window
+                or (handover_residual is not None and fp_res <= handover_residual)):
+            return _Outcome(status, x_field, fp_res, best_field, best_res)
         x_vec = _as_vector(x_field)
         x_hist.append(x_vec)
         f_hist.append(_as_vector(res_field))
@@ -255,12 +258,12 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
             new_vec = x_vec + config.damping * f_hist[-1]
             x_hist, f_hist = [x_vec], [f_hist[-1]]
         x_field = project(_as_field(config.grid, new_vec))
-    return _PicardOutcome(None, best_field, best_res, best_field, best_res)
+    return _Outcome(None, best_field, best_res, best_field, best_res)
 
 
 def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
-                  trace: list):
-    """Matrix-free Newton on F(x) = P x - P S(P x), P the parity projector.
+                  trace: list) -> _Outcome:
+    """Matrix-free Newton on F(x) = x - P S(x) over the parity class, P its projector.
 
     GMRES applies the exact Jacobian J w = P w - P DS(x) P w, with the
     derivative DS(x) w = M^{-1} Delta (W''(u) w) linearised once per outer
@@ -271,54 +274,47 @@ def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
     """
     project = parity_projector(config.parity)
     grid = config.grid
-
-    def f_of(vec: np.ndarray) -> np.ndarray:
-        fld = project(_as_field(grid, vec))
-        return _as_vector(fld) - _as_vector(project(apply_S(fld, config.potential)))
-
-    x_vec = _as_vector(project(start))
+    x_field = project(start)
     fp_res = float("inf")
     best_res = float("inf")
     since_best = 0
     for _ in range(outer_budget):
-        x_field = _as_field(grid, x_vec)
-        norm = x0_norm(x_field, config.weight)
-        status = _norm_guard(config, norm, trace)
+        status, res_field, fp = _evaluate(config, x_field, trace)
+        if status == STATUS_DIVERGED:
+            return _Outcome(status, x_field, fp_res)  # the last finite residual
+        fp_res = fp
         if status is not None:
-            return status, x_field, fp_res if status == STATUS_DIVERGED else float("nan")
-        r_vec = f_of(x_vec)
-        fp_res = x0_norm(_as_field(grid, r_vec), config.weight) / norm
-        trace.append((len(trace), fp_res, norm))
-        if fp_res <= config.tol_residual and _solves_strong_form(config, x_field):
-            return STATUS_CONVERGED, project(x_field), fp_res
+            return _Outcome(status, x_field, fp_res)
         if fp_res < 0.5 * best_res:
             best_res, since_best = fp_res, 0
         else:
             since_best += 1
             if since_best >= 10:
                 # no factor-2 progress in ten steps: stagnated
-                return STATUS_MAX_ITER, x_field, fp_res
+                return _Outcome(None, x_field, fp_res)
         jvp = linearize_S(x_field, config.potential)
 
         def matvec(w: np.ndarray) -> np.ndarray:
             w_field = project(_as_field(grid, w))
             return _as_vector(w_field) - _as_vector(project(jvp(w_field)))
 
-        op = LinearOperator((x_vec.size, x_vec.size), matvec=matvec)
+        r_vec = _as_vector(res_field)  # -F(x)
+        op = LinearOperator((r_vec.size, r_vec.size), matvec=matvec)
         # restart length bounds the matvec count per outer step
-        delta, _ = gmres(op, -r_vec, rtol=1e-3, atol=0.0, restart=60, maxiter=3)
+        delta, _ = gmres(op, r_vec, rtol=1e-3, atol=0.0, restart=60, maxiter=3)
         if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) == 0.0:
-            return STATUS_MAX_ITER, x_field, fp_res
+            return _Outcome(None, x_field, fp_res)
         r_norm = np.linalg.norm(r_vec)
-        candidate = x_vec + delta
-        for _ in range(4):
-            if np.linalg.norm(f_of(candidate)) <= r_norm or r_norm == 0.0:
+        x_vec = _as_vector(x_field)
+        for halvings in range(5):
+            candidate = project(_as_field(grid, x_vec + delta))
+            # halve the step, at most four times, until the residual does not grow
+            if halvings == 4 or np.linalg.norm(
+                    _as_vector(_residual(config, candidate))) <= r_norm:
                 break
             delta = 0.5 * delta
-            candidate = x_vec + delta
-        x_vec = _as_vector(project(_as_field(grid, candidate)))
-    x_field = _as_field(grid, x_vec)
-    return STATUS_MAX_ITER, x_field, fp_res
+        x_field = candidate
+    return _Outcome(None, x_field, fp_res)
 
 
 def picard_solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
@@ -330,18 +326,16 @@ def picard_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
     """
     trace: list[tuple[int, float, float]] = []
     start = initial if initial is not None else build_seed(config)
-    out = _picard_phase(config, start, config.max_iter, trace,
-                        stall_window=config.max_iter)
-    status = out.status if out.status is not None else STATUS_MAX_ITER
-    return _finalize(config, out.field, status, out.fp_residual, trace)
+    return _finalize(config, _picard_phase(config, start, config.max_iter, trace,
+                                           stall_window=config.max_iter), trace)
 
 
 def newton_solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
     """Matrix-free Newton iteration on F(x) = x - S(x) from ``initial``."""
     trace: list[tuple[int, float, float]] = []
     start = initial if initial is not None else build_seed(config)
-    status, fld, fp_res = _newton_phase(config, start, min(config.max_iter, 60), trace)
-    return _finalize(config, fld, status, fp_res, trace)
+    return _finalize(config, _newton_phase(config, start, min(config.max_iter, 60), trace),
+                     trace)
 
 
 def _radial_rescale(config: SolverConfig, fld: SpectralField) -> SpectralField:
@@ -375,21 +369,15 @@ def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
     picard_budget = max(10, min(100, config.max_iter // 2))
     out = _picard_phase(config, start, picard_budget, trace,
                         handover_residual=PICARD_TO_NEWTON_RESIDUAL)
-    if out.status == STATUS_CONVERGED:
-        return _finalize(config, out.field, out.status, out.fp_residual, trace)
     # Picard sliding into the zero basin or running away does not end a
     # hybrid solve: Newton is attempted from the best iterate whenever that
     # iterate still carries a nontrivial shape (a strict residual below 1
     # excludes the exact-collapse case where S is identically zero).
-    rescuable = (np.isfinite(out.best_residual) and out.best_residual < 1.0
-                 and x0_norm(out.best_field, config.weight) > config.tol_zero)
-    if not rescuable:
-        status = out.status if out.status is not None else STATUS_MAX_ITER
-        return _finalize(config, out.field, status, out.fp_residual, trace)
-    outer = max(1, min(60, config.max_iter - (len(trace) - 1)))
-    start_field = _radial_rescale(config, out.best_field)
-    status, fld, fp_res = _newton_phase(config, start_field, outer, trace)
-    return _finalize(config, fld, status, fp_res, trace)
+    if (out.status != STATUS_CONVERGED and out.best_residual < 1.0
+            and x0_norm(out.best_field, config.weight) > config.tol_zero):
+        outer = max(1, min(60, config.max_iter - (len(trace) - 1)))
+        out = _newton_phase(config, _radial_rescale(config, out.best_field), outer, trace)
+    return _finalize(config, out, trace)
 
 
 def solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
@@ -451,28 +439,22 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
     for omega in omegas:
         cfg = config.with_omega(float(omega))
         try:
-            res = solve(cfg, _regrid(carry, cfg.grid))
+            res = solve(cfg, None if carry is None else _interpolate(carry, cfg.grid))
         except ResonanceError:
             results.append(_resonance_placeholder(cfg))
             continue
         if res.status != STATUS_CONVERGED and carry is not None and last_good_omega is not None:
             mid_cfg = config.with_omega(0.5 * (last_good_omega + float(omega)))
             try:
-                mid = solve(mid_cfg, _regrid(carry, mid_cfg.grid))
+                mid = solve(mid_cfg, _interpolate(carry, mid_cfg.grid))
                 if mid.status == STATUS_CONVERGED:
-                    res = solve(cfg, _regrid(mid.field, cfg.grid))
+                    res = solve(cfg, _interpolate(mid.field, cfg.grid))
             except ResonanceError:
                 pass
         results.append(res)
         if res.status == STATUS_CONVERGED:
             carry, last_good_omega = res.field, float(omega)
     return results
-
-
-def _regrid(field: SpectralField | None, grid: GridSpec) -> SpectralField | None:
-    if field is None:
-        return None
-    return SpectralField(grid, field.coeffs.copy())
 
 
 def _resonance_placeholder(config: SolverConfig) -> BreatherResult:

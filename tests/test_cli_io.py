@@ -70,6 +70,14 @@ def test_parse_rejects_duplicates_and_ranges():
         parse_config("omega = -1.0\n")
 
 
+def test_parse_names_each_bad_choice_by_line():
+    with pytest.raises(ConfigError) as info:
+        parse_config("omega = 2.2\nsolver.parity = sideways\nsolver.strategy = fast\n")
+    assert str(info.value) == (
+        "line 2: solver.parity must be one of even, odd, got 'sideways'; "
+        "line 3: solver.strategy must be one of picard, newton, hybrid, got 'fast'")
+
+
 def test_config_round_trip_fixpoint():
     config = parse_config(FULL)
     text = serialize_config(config)

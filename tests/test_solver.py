@@ -93,6 +93,20 @@ def test_converged_means_strong_residual_within_limit():
     assert res.strong_residual <= 10.0 * cfg.tol_residual * res.x2_norm
 
 
+@pytest.mark.parametrize("solve_fn, amplitude, iterations, fp_residual", [
+    (hybrid_solve, 40.0, 6, math.nan),   # Picard runs away; no iterate is rescuable
+    (picard_solve, 40.0, 6, math.nan),
+    (newton_solve, 1e7, 0, math.inf),    # Newton's last residual: none before the seed
+])
+def test_runaway_seed_ends_diverged(solve_fn, amplitude, iterations, fp_residual):
+    cfg = replace(flagship_config("odd"), seed=(amplitude, 1.0))
+    result = solve_fn(cfg)
+    assert result.status == "diverged"
+    assert result.iterations == iterations
+    assert math.isnan(result.trace[-1][1])
+    np.testing.assert_equal(result.fp_residual, fp_residual)
+
+
 def test_newton_from_zero_collapses():
     cfg = flagship_config("odd")
     result = newton_solve(cfg, zero_field(cfg.grid))
