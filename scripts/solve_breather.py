@@ -25,6 +25,7 @@ def main():
         "--integrate-periods", "10",
         "--steps-per-period", "512",
         "--dump-nu",
+        "--dump-samples",
         "--out", out,
     ])
 

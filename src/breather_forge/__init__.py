@@ -7,8 +7,9 @@ from .lattice_model import (MixedPotentialError, PhysicalState, PotentialSpec,
 from .operators import (Multiplier, ResonanceError, apply_M, apply_M_inverse,
                         apply_M_via_multiplier, apply_N, apply_S, linearize_S,
                         probe_operator_norm)
-from .solver import (BreatherResult, SolverConfig, continuation_sweep,
-                     hybrid_solve, newton_solve, picard_solve, refine, solve)
+from .solver import (BreatherResult, SolverConfig, UnsupportedPotentialError,
+                     continuation_sweep, hybrid_solve, newton_solve, picard_solve,
+                     refine, solve)
 from .spectral_field import (GridSpec, SpectralField, WeightOverflowError,
                              WeightSpec, analyze, max_amplitude_profile,
                              parity_projector, project_even, project_odd,

@@ -29,7 +29,7 @@ from . import validation
 from .lattice_model import MixedPotentialError, PotentialSpec
 from .operators import Multiplier, ResonanceError, probe_operator_norm
 from .solver import (BreatherResult, SolverConfig, STATUS_CONVERGED, STATUS_RESONANCE,
-                     STRATEGIES, continuation_sweep, solve)
+                     STRATEGIES, UnsupportedPotentialError, continuation_sweep, solve)
 from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec,
                              dealiased_sample_count, parity_center, synthesize,
                              time_means, x0_norm, x2_norm)
@@ -83,9 +83,9 @@ CONFIG_KEYS = (
     ConfigKey("weight.lambda", "lam", float, 0.0, "--lambda",
               "weight decay rate", lambda c: c.weight.lam),
     ConfigKey("potential.cubic", "cubic", float, 0.0, "--cubic",
-              "cubic force coefficient; both parity classes map u to -u and "
-              "project this even term out, so cubic-only solves collapse and "
-              "mixed ones end max_iter (the m=0 DC strain mode is not represented)",
+              "cubic force coefficient; solve and sweep reject a nonzero value "
+              "(exit 3), because both parity classes map u to -u and project this "
+              "even term out (the m=0 DC strain mode is not represented)",
               lambda c: c.potential.cubic),
     ConfigKey("potential.quartic", "quartic", float, 0.0, "--quartic",
               "quartic force coefficient", lambda c: c.potential.quartic),
@@ -287,8 +287,13 @@ def _index_grid(outer: np.ndarray, inner: np.ndarray):
 
 
 def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
-                 trajectory=None, dump_nu: bool = False) -> str:
-    """Write the manifest and CSV artifacts; returns the manifest path."""
+                 trajectory=None, dump_nu: bool = False,
+                 dump_samples: bool = False) -> str:
+    """Write the manifest and CSV artifacts; returns the manifest path.
+
+    ``samples.csv`` (the synthesized space-time samples) is written only with
+    ``dump_samples``: ``spectrum.csv`` determines the field, and
+    ``synthesize(field_from_spectrum_csv(...))`` regenerates the samples."""
     os.makedirs(out_dir, exist_ok=True)
     grid = result.field.grid
     sites = grid.sites
@@ -304,8 +309,9 @@ def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
     with np.errstate(divide="ignore"):
         log_amp = np.log(amp)
     write("profile.csv", ["n", "max_abs_amplitude", "log_amplitude"], sites, amp, log_amp)
-    write("samples.csv", ["n", "t_index", "value"],
-          *_index_grid(sites, np.arange(samples.shape[1])), samples.ravel())
+    if dump_samples:
+        write("samples.csv", ["n", "t_index", "value"],
+              *_index_grid(sites, np.arange(samples.shape[1])), samples.ravel())
     coeffs = result.field.coeffs
     write("spectrum.csv", ["n", "m", "re", "im"],
           *_index_grid(sites, grid.harmonics), coeffs.real.ravel(), coeffs.imag.ravel())
@@ -329,15 +335,22 @@ def load_manifest(path: str) -> dict:
 
 def field_from_spectrum_csv(path: str, grid: GridSpec) -> SpectralField:
     """The field in a spectrum file, which must hold every site n of the grid
-    and harmonic m in 1..M exactly once, in any order; else a ValueError."""
+    and harmonic m in 1..M exactly once, in any order, as rows of the four
+    cells n, m, re, im; else a ValueError that names the file."""
     n_sites, n_harm = grid.n_sites, grid.n_harmonics
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader, None)
-        columns = list(zip(*reader, strict=True))  # a row of another length raises
-    n, m, re_part, im_part = columns or [()] * 4
-    row = np.array(n, dtype=int) + n_sites // 2
-    col = np.array(m, dtype=int) - 1
+        rows = list(csv.reader(handle))[1:]
+    for lineno, cells in enumerate(rows, start=2):
+        if len(cells) != 4:
+            raise ValueError(f"{path}: line {lineno} has {len(cells)} cells, "
+                             "expected 4 (n, m, re, im)")
+    n, m, re_part, im_part = zip(*rows) if rows else [()] * 4
+    try:
+        row = np.array(n, dtype=int) + n_sites // 2
+        col = np.array(m, dtype=int) - 1
+        values = np.array(re_part, dtype=float) + 1j * np.array(im_part, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     inside = (row >= 0) & (row < n_sites) & (col >= 0) & (col < n_harm)
     flat = row * n_harm + col
     held = np.count_nonzero(np.bincount(flat[inside], minlength=n_sites * n_harm))
@@ -347,7 +360,7 @@ def field_from_spectrum_csv(path: str, grid: GridSpec) -> SpectralField:
             f"{n_sites // 2 - 1} and harmonic m in 1..{n_harm}; "
             f"{n_sites * n_harm - held} missing, {flat.size - held} out of range or repeated")
     coeffs = np.empty(n_sites * n_harm, dtype=complex)
-    coeffs[flat] = np.array(re_part, dtype=float) + 1j * np.array(im_part, dtype=float)
+    coeffs[flat] = values
     return SpectralField(grid, coeffs.reshape(n_sites, n_harm))
 
 
@@ -399,7 +412,8 @@ def _cmd_solve(args) -> int:
         except validation.BlowUpError as exc:
             print(f"trajectory blow-up: {exc}", file=sys.stderr)
     manifest_path = emit_outputs(result, args.out, serialize_config(config),
-                                 trajectory, dump_nu=args.dump_nu)
+                                 trajectory, dump_nu=args.dump_nu,
+                                 dump_samples=args.dump_samples)
     print(f"status = {result.status}")
     print(f"iterations = {result.iterations}")
     print(f"fp_residual = {result.fp_residual!r}")
@@ -420,7 +434,8 @@ def _cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for idx, res in enumerate(results):
         point_dir = os.path.join(args.out, f"point_{idx:03d}")
-        emit_outputs(res, point_dir, serialize_config(config.with_omega(res.omega)))
+        emit_outputs(res, point_dir, serialize_config(config.with_omega(res.omega)),
+                     dump_samples=args.dump_samples)
         print(f"omega = {res.omega:.6f}  status = {res.status}  x0_norm = {res.x0_norm!r}")
     _atomic_write(os.path.join(args.out, "sweep.csv"), _csv_text(
         ["omega", "status", "x0_norm", "fp_residual"],
@@ -543,6 +558,13 @@ def _add_config_flags(parser):
                                 choices=row.choices, help=row.help)
 
 
+def _add_output_flags(parser):
+    parser.add_argument("--out", default="out")
+    parser.add_argument("--dump-samples", action="store_true",
+                        help="also write samples.csv, the field at every collocation "
+                             "time of every site (derived from spectrum.csv)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="breather-forge",
@@ -551,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve for a breather and emit artifacts")
     _add_config_flags(p_solve)
-    p_solve.add_argument("--out", default="out")
+    _add_output_flags(p_solve)
     p_solve.add_argument("--dump-nu", action="store_true",
                          help="also dump the multiplier table CSV")
     p_solve.add_argument("--integrate-periods", type=int, default=0,
@@ -564,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--omega-from", type=float, required=True)
     p_sweep.add_argument("--omega-to", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--out", default="out")
+    _add_output_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="re-check a manifest from a prior solve")
@@ -605,6 +627,9 @@ def run_command(argv) -> int:
         return 1
     except ResonanceError as exc:
         print(f"resonance: {exc}", file=sys.stderr)
+        return 3
+    except UnsupportedPotentialError as exc:
+        print(f"precondition: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         # out-of-range values outside the config, such as sweep --steps 0

@@ -35,6 +35,11 @@ STATUS_RESONANCE = "resonance"
 STRATEGIES = ("picard", "newton", "hybrid")
 
 
+class UnsupportedPotentialError(ValueError):
+    """A cubic force: both parity classes map u to -u, so their projector
+    removes it, and the m=0 strain mode it drives is not represented."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     grid: GridSpec
@@ -381,7 +386,13 @@ def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
 
 
 def solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
-    """Dispatch on the configured strategy."""
+    """Dispatch on the configured strategy; a nonzero cubic coefficient
+    raises UnsupportedPotentialError before any iteration."""
+    if config.potential.cubic != 0.0:
+        raise UnsupportedPotentialError(
+            f"potential.cubic = {config.potential.cubic!r} is not supported: both parity "
+            "classes map u to -u and project the cubic force out, and the m=0 (DC strain) "
+            "mode it drives is not represented; solve with potential.cubic = 0")
     if config.strategy == "picard":
         return picard_solve(config, initial)
     if config.strategy == "newton":

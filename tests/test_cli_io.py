@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import breather_forge
-from breather_forge import Multiplier, cli_io, decay_rate_fit, solver
+from breather_forge import Multiplier, cli_io, decay_rate_fit, solver, synthesize
 from breather_forge.cli_io import (CONFIG_KEYS, ConfigError, ConfigWarning,
                                    _TRACE_HEADER, _build_parser, _config_from_args,
                                    _csv_text, field_from_spectrum_csv, load_manifest,
@@ -197,7 +197,7 @@ def solved_dir(tmp_path_factory):
     conf = out / "bf.conf"
     conf.write_text(FULL)
     rc = run_command(["solve", "--config", str(conf), "--out", str(out / "run"),
-                      "--dump-nu"])
+                      "--dump-nu", "--dump-samples"])
     assert rc == 0
     return out / "run"
 
@@ -279,6 +279,29 @@ def test_truncated_spectrum_exits_one_with_one_error_line(command, solved_dir, t
     assert "CHECK" not in captured.out
 
 
+# both edits are of the fifth line, the fourth data row
+@pytest.mark.parametrize("edit, message", [
+    (lambda line: line.rsplit(",", 1)[0], "spectrum.csv: line 5 has 3 cells"),
+    (lambda line: line.rsplit(",", 1)[0] + ",x", "spectrum.csv: could not convert"),
+], ids=["last_cell_lost", "cell_not_a_number"])
+def test_malformed_spectrum_row_names_the_file(edit, message, solved_dir, tmp_path, capsys):
+    for name in ("manifest.json", "trace.csv"):
+        (tmp_path / name).write_bytes((solved_dir / name).read_bytes())
+    lines = (solved_dir / "spectrum.csv").read_text().splitlines()
+    lines[4] = edit(lines[4])
+    path = tmp_path / "spectrum.csv"
+    path.write_text("\r\n".join(lines) + "\r\n")
+    config = parse_config(load_manifest(str(solved_dir / "manifest.json"))["config_echo"])
+    with pytest.raises(ValueError, match=message):
+        field_from_spectrum_csv(str(path), config.grid)
+    rc = run_command(["verify", "--manifest", str(tmp_path / "manifest.json")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert str(path) in captured.err
+    assert "CHECK" not in captured.out
+
+
 def test_decay_file_slope_matches_fit(solved_dir, flagship_result):
     lam_eff, _ = decay_rate_fit(flagship_result)
     rows = (solved_dir / "decay.csv").read_text().strip().splitlines()[1:]
@@ -328,6 +351,59 @@ def test_sweep_command(tmp_path, capsys):
     assert len(lines) == 4
     for idx in range(3):
         assert (tmp_path / "sw" / f"point_{idx:03d}" / "manifest.json").exists()
+
+
+def test_default_solve_writes_no_samples(tmp_path):
+    out = tmp_path / "out"
+    rc = run_command(["solve", "--omega", "2.6", "--quartic", "1", "--n-sites", "32",
+                      "--harmonics", "8", "--seed-amplitude", "0.8", "--out", str(out)])
+    assert rc == 0
+    assert not (out / "samples.csv").exists()
+    assert load_manifest(str(out / "manifest.json"))["artifact_paths"] == [
+        "trace.csv", "profile.csv", "spectrum.csv", "decay.csv"]
+
+
+def test_dumped_samples_are_the_synthesized_field(solved_dir):
+    config = parse_config(load_manifest(str(solved_dir / "manifest.json"))["config_echo"])
+    field = field_from_spectrum_csv(str(solved_dir / "spectrum.csv"), config.grid)
+    samples = synthesize(field)
+    lines = (solved_dir / "samples.csv").read_text().splitlines()
+    assert lines[0] == "n,t_index,value"
+    n, t_index, value = zip(*(line.split(",") for line in lines[1:]))
+    n_sites, n_t = samples.shape
+    assert [int(v) for v in n] == [s for s in config.grid.sites.tolist() for _ in range(n_t)]
+    assert [int(v) for v in t_index] == list(range(n_t)) * n_sites
+    assert np.array([float(v) for v in value]).tobytes() == samples.tobytes()
+    assert "samples.csv" in load_manifest(str(solved_dir / "manifest.json"))["artifact_paths"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--dump-samples"]], ids=["default", "dump_samples"])
+def test_sweep_writes_samples_only_when_asked(flags, tmp_path):
+    out = tmp_path / "sw"
+    rc = run_command(["sweep", "--omega-from", "2.6", "--omega-to", "2.4", "--steps", "3",
+                      "--quartic", "1", "--n-sites", "32", "--harmonics", "8",
+                      "--seed-amplitude", "0.8", *flags, "--out", str(out)])
+    assert rc == 0
+    for idx in range(3):
+        point = out / f"point_{idx:03d}"
+        listed = "samples.csv" in load_manifest(str(point / "manifest.json"))["artifact_paths"]
+        assert (point / "samples.csv").exists() == listed == bool(flags)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--omega", "2.5", "--cubic", "0.3"],
+    ["solve", "--omega", "2.3", "--cubic", "0.3", "--quartic", "1"],
+    ["sweep", "--omega-from", "2.6", "--omega-to", "2.4", "--steps", "3",
+     "--cubic", "0.3", "--quartic", "1"],
+], ids=["solve_cubic", "solve_mixed", "sweep_mixed"])
+def test_cubic_input_exits_three_and_writes_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_command([*argv, "--n-sites", "32", "--harmonics", "8", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("precondition: potential.cubic = 0.3 is not supported")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_two_runs_are_file_identical(tmp_path):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from breather_forge import (GridSpec, PotentialSpec, ResonanceError,
-                            SolverConfig, WeightSpec, continuation_sweep,
-                            hybrid_solve, newton_solve, picard_solve, refine,
-                            synthesize, time_means, x0_norm, zero_field)
+                            SolverConfig, UnsupportedPotentialError, WeightSpec,
+                            continuation_sweep, hybrid_solve, newton_solve,
+                            picard_solve, refine, solve, synthesize, time_means,
+                            x0_norm, zero_field)
+from breather_forge import solver as solver_module
 from breather_forge.solver import _picard_phase, build_seed, default_seed_amplitude
 
 from conftest import QUARTIC, flagship_config
@@ -41,6 +43,24 @@ def test_resonant_frequency_raises():
                        potential=QUARTIC, parity="odd", seed=(0.5, 1.0))
     with pytest.raises(ResonanceError):
         picard_solve(cfg)
+
+
+@pytest.mark.parametrize("potential", [PotentialSpec(cubic=0.3),
+                                       PotentialSpec(cubic=0.3, quartic=1.0)],
+                         ids=["cubic", "mixed"])
+def test_cubic_potential_is_rejected_before_any_iteration(potential, monkeypatch):
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("an iteration ran on a cubic potential")
+
+    monkeypatch.setattr(solver_module, "hybrid_solve", no_iteration)
+    cfg = SolverConfig(grid=GridSpec(32, 8, 66, 2.5), weight=WeightSpec(0.0),
+                       potential=potential, parity="odd", seed=(0.8, 1.0))
+    with pytest.raises(UnsupportedPotentialError, match="cubic") as info:
+        solve(cfg)
+    # a resonance would be recorded per point; this must end the sweep instead
+    assert not isinstance(info.value, ResonanceError)
+    with pytest.raises(UnsupportedPotentialError):
+        continuation_sweep(cfg, 2.6, 2.4, 3)
 
 
 def test_picard_collapses_from_inside_seed():
