@@ -25,7 +25,6 @@ def main():
         "--integrate-periods", "10",
         "--steps-per-period", "512",
         "--dump-nu",
-        "--dump-samples",
         "--out", out,
     ])
 

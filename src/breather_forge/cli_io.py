@@ -287,13 +287,8 @@ def _index_grid(outer: np.ndarray, inner: np.ndarray):
 
 
 def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
-                 trajectory=None, dump_nu: bool = False,
-                 dump_samples: bool = False) -> str:
-    """Write the manifest and CSV artifacts; returns the manifest path.
-
-    ``samples.csv`` (the synthesized space-time samples) is written only with
-    ``dump_samples``: ``spectrum.csv`` determines the field, and
-    ``synthesize(field_from_spectrum_csv(...))`` regenerates the samples."""
+                 trajectory=None, dump_nu: bool = False) -> str:
+    """Write the manifest and CSV artifacts; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     grid = result.field.grid
     sites = grid.sites
@@ -304,14 +299,11 @@ def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
         artifacts.append(name)
 
     write("trace.csv", _TRACE_HEADER, *zip(*result.trace))
-    samples = synthesize(result.field)  # profile, samples and decay files read these
+    samples = synthesize(result.field)  # profile and decay files read these
     amp = np.max(np.abs(samples), axis=1)
     with np.errstate(divide="ignore"):
         log_amp = np.log(amp)
     write("profile.csv", ["n", "max_abs_amplitude", "log_amplitude"], sites, amp, log_amp)
-    if dump_samples:
-        write("samples.csv", ["n", "t_index", "value"],
-              *_index_grid(sites, np.arange(samples.shape[1])), samples.ravel())
     coeffs = result.field.coeffs
     write("spectrum.csv", ["n", "m", "re", "im"],
           *_index_grid(sites, grid.harmonics), coeffs.real.ravel(), coeffs.imag.ravel())
@@ -335,22 +327,19 @@ def load_manifest(path: str) -> dict:
 
 def field_from_spectrum_csv(path: str, grid: GridSpec) -> SpectralField:
     """The field in a spectrum file, which must hold every site n of the grid
-    and harmonic m in 1..M exactly once, in any order, as rows of the four
-    cells n, m, re, im; else a ValueError that names the file."""
+    and harmonic m in 1..M exactly once, in any order; else a ValueError
+    that names the file."""
     n_sites, n_harm = grid.n_sites, grid.n_harmonics
     with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))[1:]
-    for lineno, cells in enumerate(rows, start=2):
-        if len(cells) != 4:
-            raise ValueError(f"{path}: line {lineno} has {len(cells)} cells, "
-                             "expected 4 (n, m, re, im)")
-    n, m, re_part, im_part = zip(*rows) if rows else [()] * 4
-    try:
-        row = np.array(n, dtype=int) + n_sites // 2
-        col = np.array(m, dtype=int) - 1
-        values = np.array(re_part, dtype=float) + 1j * np.array(im_part, dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        reader = csv.reader(handle)
+        next(reader, None)
+        try:
+            n, m, re_part, im_part = list(zip(*reader, strict=True)) or [()] * 4
+            row = np.array(n, dtype=int) + n_sites // 2
+            col = np.array(m, dtype=int) - 1
+            values = np.array(re_part, dtype=float) + 1j * np.array(im_part, dtype=float)
+        except ValueError as exc:  # a row of another length, or a cell not a number
+            raise ValueError(f"{path}: {exc}") from None
     inside = (row >= 0) & (row < n_sites) & (col >= 0) & (col < n_harm)
     flat = row * n_harm + col
     held = np.count_nonzero(np.bincount(flat[inside], minlength=n_sites * n_harm))
@@ -412,8 +401,7 @@ def _cmd_solve(args) -> int:
         except validation.BlowUpError as exc:
             print(f"trajectory blow-up: {exc}", file=sys.stderr)
     manifest_path = emit_outputs(result, args.out, serialize_config(config),
-                                 trajectory, dump_nu=args.dump_nu,
-                                 dump_samples=args.dump_samples)
+                                 trajectory, dump_nu=args.dump_nu)
     print(f"status = {result.status}")
     print(f"iterations = {result.iterations}")
     print(f"fp_residual = {result.fp_residual!r}")
@@ -434,8 +422,7 @@ def _cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for idx, res in enumerate(results):
         point_dir = os.path.join(args.out, f"point_{idx:03d}")
-        emit_outputs(res, point_dir, serialize_config(config.with_omega(res.omega)),
-                     dump_samples=args.dump_samples)
+        emit_outputs(res, point_dir, serialize_config(config.with_omega(res.omega)))
         print(f"omega = {res.omega:.6f}  status = {res.status}  x0_norm = {res.x0_norm!r}")
     _atomic_write(os.path.join(args.out, "sweep.csv"), _csv_text(
         ["omega", "status", "x0_norm", "fp_residual"],
@@ -558,13 +545,6 @@ def _add_config_flags(parser):
                                 choices=row.choices, help=row.help)
 
 
-def _add_output_flags(parser):
-    parser.add_argument("--out", default="out")
-    parser.add_argument("--dump-samples", action="store_true",
-                        help="also write samples.csv, the field at every collocation "
-                             "time of every site (derived from spectrum.csv)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="breather-forge",
@@ -573,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve for a breather and emit artifacts")
     _add_config_flags(p_solve)
-    _add_output_flags(p_solve)
+    p_solve.add_argument("--out", default="out")
     p_solve.add_argument("--dump-nu", action="store_true",
                          help="also dump the multiplier table CSV")
     p_solve.add_argument("--integrate-periods", type=int, default=0,
@@ -586,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--omega-from", type=float, required=True)
     p_sweep.add_argument("--omega-to", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    _add_output_flags(p_sweep)
+    p_sweep.add_argument("--out", default="out")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="re-check a manifest from a prior solve")

@@ -322,6 +322,16 @@ def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
     return _Outcome(None, x_field, fp_res)
 
 
+def _check_supported(config: SolverConfig) -> None:
+    """Raise UnsupportedPotentialError on a nonzero cubic coefficient; every
+    strategy calls this before its first iteration."""
+    if config.potential.cubic != 0.0:
+        raise UnsupportedPotentialError(
+            f"potential.cubic = {config.potential.cubic!r} is not supported: both parity "
+            "classes map u to -u and project the cubic force out, and the m=0 (DC strain) "
+            "mode it drives is not represented; solve with potential.cubic = 0")
+
+
 def picard_solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
     """Damped/accelerated Picard iteration from the configured seed.
 
@@ -329,6 +339,7 @@ def picard_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
     nontrivial by construction (collapse to the zero fixed point is reported
     separately).
     """
+    _check_supported(config)
     trace: list[tuple[int, float, float]] = []
     start = initial if initial is not None else build_seed(config)
     return _finalize(config, _picard_phase(config, start, config.max_iter, trace,
@@ -337,6 +348,7 @@ def picard_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
 
 def newton_solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
     """Matrix-free Newton iteration on F(x) = x - S(x) from ``initial``."""
+    _check_supported(config)
     trace: list[tuple[int, float, float]] = []
     start = initial if initial is not None else build_seed(config)
     return _finalize(config, _newton_phase(config, start, min(config.max_iter, 60), trace),
@@ -369,6 +381,7 @@ def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
     a fraction of the iteration budget; Newton then starts from the best
     iterate seen, radially rebalanced onto its own fixed-point ray.
     """
+    _check_supported(config)
     trace: list[tuple[int, float, float]] = []
     start = initial if initial is not None else build_seed(config)
     picard_budget = max(10, min(100, config.max_iter // 2))
@@ -386,13 +399,7 @@ def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
 
 
 def solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
-    """Dispatch on the configured strategy; a nonzero cubic coefficient
-    raises UnsupportedPotentialError before any iteration."""
-    if config.potential.cubic != 0.0:
-        raise UnsupportedPotentialError(
-            f"potential.cubic = {config.potential.cubic!r} is not supported: both parity "
-            "classes map u to -u and project the cubic force out, and the m=0 (DC strain) "
-            "mode it drives is not represented; solve with potential.cubic = 0")
+    """Dispatch on the configured strategy."""
     if config.strategy == "picard":
         return picard_solve(config, initial)
     if config.strategy == "newton":

@@ -45,18 +45,21 @@ def test_resonant_frequency_raises():
         picard_solve(cfg)
 
 
+@pytest.mark.parametrize("entry", [solve, picard_solve, newton_solve, hybrid_solve],
+                         ids=["solve", "picard", "newton", "hybrid"])
 @pytest.mark.parametrize("potential", [PotentialSpec(cubic=0.3),
                                        PotentialSpec(cubic=0.3, quartic=1.0)],
                          ids=["cubic", "mixed"])
-def test_cubic_potential_is_rejected_before_any_iteration(potential, monkeypatch):
+def test_cubic_potential_is_rejected_before_any_iteration(potential, entry, monkeypatch):
     def no_iteration(*args, **kwargs):
         raise AssertionError("an iteration ran on a cubic potential")
 
-    monkeypatch.setattr(solver_module, "hybrid_solve", no_iteration)
+    for name in ("build_seed", "_picard_phase", "_newton_phase"):
+        monkeypatch.setattr(solver_module, name, no_iteration)
     cfg = SolverConfig(grid=GridSpec(32, 8, 66, 2.5), weight=WeightSpec(0.0),
                        potential=potential, parity="odd", seed=(0.8, 1.0))
     with pytest.raises(UnsupportedPotentialError, match="cubic") as info:
-        solve(cfg)
+        entry(cfg)
     # a resonance would be recorded per point; this must end the sweep instead
     assert not isinstance(info.value, ResonanceError)
     with pytest.raises(UnsupportedPotentialError):
