@@ -104,34 +104,12 @@ def _as_field(grid: GridSpec, vec: np.ndarray) -> SpectralField:
     return SpectralField(grid, vec[:half].reshape(shape) + 1j * vec[half:].reshape(shape))
 
 
-def default_seed_amplitude(config: SolverConfig) -> float:
-    """Seed scale from the existence-bound ring when one is available.
-
-    Midpoint of [r_crit, r_max] under the strengthened non-resonance
-    condition, half of r_max under the plain one, and a plain 0.5 for
-    potentials without a global growth pair.
-    """
-    if not config.potential.has_growth_pair:
-        return 0.5
-    report = validation.bounds_report(config.grid.omega, config.weight,
-                                      config.potential, 0.0)
-    if report.nonres_ok:
-        return 0.5 * (report.r_crit + report.r_max)
-    if report.nonres0_ok and report.r_max > 0.0:
-        return 0.5 * report.r_max
-    return 0.5
-
-
 def build_seed(config: SolverConfig) -> SpectralField:
+    """The sech seed; an 'auto' amplitude puts it on its own fixed-point ray."""
     amplitude, width = config.seed
-    seed = seed_field(config.grid, config.parity,
-                      amplitude if amplitude is not None else 1.0, width)
-    if amplitude is None:
-        target = default_seed_amplitude(config)
-        current = x0_norm(seed, config.weight)
-        if current > 0.0:
-            seed = seed.with_coeffs(seed.coeffs * (target / current))
-    return seed
+    if amplitude is not None:
+        return seed_field(config.grid, config.parity, amplitude, width)
+    return _radial_rescale(config, seed_field(config.grid, config.parity, 1.0, width))
 
 
 @dataclass
@@ -304,7 +282,7 @@ def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
             return _as_vector(w_field) - _as_vector(project(jvp(w_field)))
 
         r_vec = _as_vector(res_field)  # -F(x)
-        op = LinearOperator((r_vec.size, r_vec.size), matvec=matvec)
+        op = LinearOperator((r_vec.size, r_vec.size), matvec=matvec, dtype=float)
         # restart length bounds the matvec count per outer step
         delta, _ = gmres(op, r_vec, rtol=1e-3, atol=0.0, restart=60, maxiter=3)
         if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) == 0.0:
@@ -359,9 +337,10 @@ def _radial_rescale(config: SolverConfig, fld: SpectralField) -> SpectralField:
     """Rebalance a shape's amplitude onto its own fixed-point ray.
 
     For a force of homogeneity degree p, scaling a field by c scales S(x)
-    by c**p, so the radius where the ray balances is
-    c* = (||x|| / ||S(x)||)**(1/(p-1)).  Starting Newton there keeps it out
-    of the zero root's basin after a Picard phase has slid inward.
+    by c**p, so the radius where the ray balances, ||S(cx)|| = ||cx||, is
+    c* = (||x|| / ||S(x)||)**(1/(p-1)).  This sets the amplitude of an
+    'auto' seed, and of the iterate a hybrid solve hands to Newton, which
+    keeps Newton out of the zero root's basin after Picard has slid inward.
     """
     p = config.potential.wprime_degree
     if p < 2:
@@ -370,8 +349,7 @@ def _radial_rescale(config: SolverConfig, fld: SpectralField) -> SpectralField:
     s_norm = x0_norm(apply_S(fld, config.potential), config.weight)
     if x_norm == 0.0 or s_norm == 0.0:
         return fld
-    scale = float(np.clip((x_norm / s_norm) ** (1.0 / (p - 1)), 0.125, 8.0))
-    return fld.with_coeffs(fld.coeffs * scale)
+    return fld.with_coeffs(fld.coeffs * (x_norm / s_norm) ** (1.0 / (p - 1)))
 
 
 def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
@@ -384,16 +362,17 @@ def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
     _check_supported(config)
     trace: list[tuple[int, float, float]] = []
     start = initial if initial is not None else build_seed(config)
-    picard_budget = max(10, min(100, config.max_iter // 2))
+    picard_budget = min(config.max_iter, max(10, min(100, config.max_iter // 2)))
     out = _picard_phase(config, start, picard_budget, trace,
                         handover_residual=PICARD_TO_NEWTON_RESIDUAL)
     # Picard sliding into the zero basin or running away does not end a
     # hybrid solve: Newton is attempted from the best iterate whenever that
     # iterate still carries a nontrivial shape (a strict residual below 1
-    # excludes the exact-collapse case where S is identically zero).
-    if (out.status != STATUS_CONVERGED and out.best_residual < 1.0
+    # excludes the exact-collapse case where S is identically zero) and
+    # the budget of max_iter trace rows has some left.
+    outer = min(60, config.max_iter - len(trace))
+    if (out.status != STATUS_CONVERGED and out.best_residual < 1.0 and outer > 0
             and x0_norm(out.best_field, config.weight) > config.tol_zero):
-        outer = max(1, min(60, config.max_iter - (len(trace) - 1)))
         out = _newton_phase(config, _radial_rescale(config, out.best_field), outer, trace)
     return _finalize(config, out, trace)
 

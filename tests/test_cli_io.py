@@ -320,6 +320,30 @@ def test_verify_passes_on_fresh_manifest(solved_dir, capsys):
     assert "reproducible_trace: PASS" in out
 
 
+def test_verify_fails_a_record_that_does_not_solve_the_equation(tmp_path, capsys):
+    out = tmp_path / "short"
+    rc = run_command(["solve", "--omega", "2.5", "--quartic", "1", "--seed-amplitude", "0.9",
+                      "--max-iter", "3", "--out", str(out)])
+    assert rc == 2
+    capsys.readouterr()
+    rc = run_command(["verify", "--manifest", str(out / "manifest.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert len(lines) == 9 and all(line.startswith("CHECK ") for line in lines)
+    assert [line.split(":")[0] for line in lines if ": FAIL" in line] == [
+        "CHECK strong_residual"]
+
+
+@pytest.mark.parametrize("parity, reference", [("odd", 0.8608563553), ("even", 0.8609909344)])
+def test_default_seed_solves_the_flagship(parity, reference, tmp_path, capsys):
+    rc = run_command(["solve", "--omega", "2.2", "--quartic", "1", "--parity", parity,
+                      "--out", str(tmp_path / "out")])
+    assert rc == 0
+    manifest = load_manifest(str(tmp_path / "out" / "manifest.json"))
+    assert manifest["config_echo"].count("solver.seed_amplitude = auto") == 1
+    assert manifest["result"]["x0_norm"] == pytest.approx(reference, rel=1e-8)
+
+
 def test_integrate_from_manifest(solved_dir, tmp_path, capsys):
     rc = run_command(["integrate", "--manifest", str(solved_dir / "manifest.json"),
                       "--periods", "3", "--steps-per-period", "256",

@@ -7,10 +7,10 @@ import pytest
 from breather_forge import (GridSpec, PotentialSpec, ResonanceError,
                             SolverConfig, UnsupportedPotentialError, WeightSpec,
                             continuation_sweep, hybrid_solve, newton_solve,
-                            picard_solve, refine, solve, synthesize, time_means,
-                            x0_norm, zero_field)
+                            apply_S, picard_solve, refine, solve, synthesize,
+                            time_means, x0_norm, zero_field)
 from breather_forge import solver as solver_module
-from breather_forge.solver import _picard_phase, build_seed, default_seed_amplitude
+from breather_forge.solver import _picard_phase, build_seed
 
 from conftest import QUARTIC, flagship_config
 from oracles import central_block, profile_at_t0, shooting_orbit, staggered_guess
@@ -162,29 +162,57 @@ def test_deterministic_iterate_sequence(flagship_result):
     assert np.array_equal(rerun.field.coeffs, flagship_result.field.coeffs)
 
 
-def test_default_seed_targets_ring_midpoint():
-    # omega^2 = 12, lam = 0, quartic: ring is [ (4/3)^(1/3), (4/3)^(1/2) ]
-    grid = GridSpec(64, 16, 130, math.sqrt(12.0))
-    cfg = SolverConfig(grid=grid, weight=WeightSpec(0.0), potential=QUARTIC,
-                       parity="odd", seed=(None, 1.0))
+def _auto_seed_config(quartic: float, omega: float, parity: str, n_sites: int = 64,
+                      lam: float = 0.0) -> SolverConfig:
+    return SolverConfig(grid=GridSpec.with_dealiasing(n_sites, 16, omega),
+                        weight=WeightSpec.for_parity(lam, parity),
+                        potential=PotentialSpec(quartic=quartic), parity=parity,
+                        seed=(None, 1.0))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("quartic", [0.5, 1.0, 2.0])
+def test_auto_seed_lies_on_its_fixed_point_ray(quartic, parity, lam):
+    cfg = _auto_seed_config(quartic, 2.2, parity, lam=lam)
     seed = build_seed(cfg)
-    target = 0.5 * ((4.0 / 3.0) ** 0.5 + (4.0 / 3.0) ** (1.0 / 3.0))
-    assert x0_norm(seed, cfg.weight) == pytest.approx(target, rel=1e-12)
+    ratio = x0_norm(apply_S(seed, cfg.potential), cfg.weight) / x0_norm(seed, cfg.weight)
+    assert abs(ratio - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("omega, potential, expected", [
-    # strengthened non-resonance (omega^2 = 12 > 4 + 6): the ring midpoint
-    (math.sqrt(12.0), QUARTIC, 0.5 * ((4.0 / 3.0) ** 0.5 + (4.0 / 3.0) ** (1.0 / 3.0))),
-    # only the band condition: the ring is empty (r_crit 0.519 > r_max 0.374)
-    (2.2, QUARTIC, 0.5 * 0.14 ** 0.5),
-    # no global growth pair
-    (2.2, PotentialSpec(cubic=0.3, quartic=1.0), 0.5),
-    (2.2, PotentialSpec(), 0.5),
-], ids=["ring_midpoint", "half_r_max", "mixed", "harmonic"])
-def test_default_seed_amplitude_in_each_case(omega, potential, expected):
-    cfg = SolverConfig(grid=GridSpec(64, 16, 130, omega), weight=WeightSpec(0.0),
-                       potential=potential, seed=(None, 1.0))
-    assert default_seed_amplitude(cfg) == pytest.approx(expected, rel=1e-12)
+def test_auto_seed_converges_over_the_band_edge_grid():
+    # lattice long enough for the tail rate kappa to reach 1e-10 at the edge
+    failed = []
+    for quartic in (0.5, 1.0, 2.0):
+        for omega in (2.02, 2.05, 2.1, 2.2, 2.35, 2.5, 2.8, 3.2, 3.6):
+            kappa = math.acosh((omega**2 - 2.0) / 2.0)
+            n_sites = max(64, 2 * math.ceil(math.log(1e10) / kappa + 4))
+            for parity in ("odd", "even"):
+                res = solve(_auto_seed_config(quartic, omega, parity, n_sites))
+                if res.status != "converged":
+                    failed.append((quartic, omega, parity, res.status))
+    assert failed == []
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("omega", [2.2, 2.8])
+def test_auto_seed_solves_are_quartic_covariant(omega, parity):
+    # x = z / sqrt(beta) maps the beta-chain onto the beta = 1 chain, and
+    # S(c x) = c**3 S(x) makes the ray seed follow the same map
+    results = {quartic: solve(_auto_seed_config(quartic, omega, parity))
+               for quartic in (0.01, 1.0, 100.0)}
+    assert [res.status for res in results.values()] == ["converged"] * 3
+    scaled = [res.x0_norm * math.sqrt(quartic) for quartic, res in results.items()]
+    assert scaled == pytest.approx([scaled[1]] * 3, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 12])
+@pytest.mark.parametrize("strategy", ["picard", "newton", "hybrid"])
+def test_trace_stays_within_max_iter(strategy, max_iter):
+    cfg = SolverConfig(grid=GridSpec.with_dealiasing(64, 16, 2.5), weight=WeightSpec(0.0),
+                       potential=QUARTIC, parity="odd", strategy=strategy,
+                       seed=(0.9, 1.0), max_iter=max_iter)
+    assert len(solve(cfg).trace) <= max_iter
 
 
 def test_ring_membership_at_high_frequency():
@@ -228,6 +256,28 @@ def test_sweep_monotone_norms_and_oracle_crosscheck():
         spectral = central_block(profile_at_t0(res.field), 32)
         rel = np.linalg.norm(spectral - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-5
+
+
+def test_sweep_bisects_a_failed_point(monkeypatch):
+    calls = []
+
+    def recorded(cfg, initial=None):
+        res = solve(cfg, initial)
+        calls.append((cfg.grid.omega, res.status))
+        return res
+
+    monkeypatch.setattr(solver_module, "solve", recorded)
+    cfg = SolverConfig(grid=GridSpec.with_dealiasing(64, 8, 2.6), weight=WeightSpec(0.0),
+                       potential=QUARTIC, parity="odd", seed=(0.85, 1.05))
+    results = continuation_sweep(cfg, 2.6, 2.02, 4)
+    assert [r.status for r in results] == ["converged"] * 4
+    # the warm start at 2.02 fails, the midpoint converges, the retry succeeds
+    omegas = [omega for omega, _ in calls]
+    assert [status for _, status in calls] == ["converged"] * 3 + ["max_iter"] + \
+        ["converged"] * 2
+    assert omegas[3] == omegas[5] == 2.02
+    assert omegas[4] == 0.5 * (omegas[2] + 2.02)
+    assert results[-1].x0_norm == pytest.approx(0.4399, abs=1e-4)
 
 
 def test_sweep_reports_resonant_points():
