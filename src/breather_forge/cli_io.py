@@ -31,8 +31,8 @@ from .operators import Multiplier, ResonanceError, probe_operator_norm
 from .solver import (BreatherResult, SolverConfig, STATUS_CONVERGED, STATUS_RESONANCE,
                      STRATEGIES, UnsupportedPotentialError, continuation_sweep, solve)
 from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec,
-                             dealiased_sample_count, parity_center, synthesize,
-                             time_means, x0_norm, x2_norm)
+                             max_amplitude_profile, parity_center, synthesize,
+                             x0_norm, x2_norm)
 
 SCHEMA_VERSION = 1
 _TRACE_HEADER = ["iter", "fp_residual", "x0_norm"]
@@ -159,16 +159,12 @@ def build_config(values: dict[str, object]) -> SolverConfig:
     v = SimpleNamespace(**{row.dest: values.get(row.key, row.default)
                            for row in CONFIG_KEYS})
     try:
-        potential = PotentialSpec(cubic=v.cubic, quartic=v.quartic)
-        if v.time_samples is None:
-            # never fewer samples than a cubic W' needs, so that emitted
-            # configs of cubic potentials keep their sample counts
-            v.time_samples = dealiased_sample_count(
-                v.harmonics, max(potential.wprime_degree, 3))
         config = SolverConfig(
-            grid=GridSpec(v.n_sites, v.harmonics, v.time_samples, v.omega),
+            grid=(GridSpec.with_dealiasing(v.n_sites, v.harmonics, v.omega)
+                  if v.time_samples is None
+                  else GridSpec(v.n_sites, v.harmonics, v.time_samples, v.omega)),
             weight=WeightSpec.for_parity(v.lam, v.parity),
-            potential=potential,
+            potential=PotentialSpec(cubic=v.cubic, quartic=v.quartic),
             parity=v.parity,
             strategy=v.strategy,
             damping=v.damping,
@@ -299,8 +295,7 @@ def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
         artifacts.append(name)
 
     write("trace.csv", _TRACE_HEADER, *zip(*result.trace))
-    samples = synthesize(result.field)  # profile and decay files read these
-    amp = np.max(np.abs(samples), axis=1)
+    amp = max_amplitude_profile(result.field)  # profile and decay files read this
     with np.errstate(divide="ignore"):
         log_amp = np.log(amp)
     write("profile.csv", ["n", "max_abs_amplitude", "log_amplitude"], sites, amp, log_amp)
@@ -367,9 +362,14 @@ def _config_from_args(args) -> SolverConfig:
         value = getattr(args, row.dest, None)
         if row.flag is not None and value is not None:
             values[row.key] = value
+    return _printing_warnings(build_config, values)
+
+
+def _printing_warnings(build: Callable[..., SolverConfig], source) -> SolverConfig:
+    """``build(source)`` with each ConfigWarning printed as one stderr line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConfigWarning)
-        config = build_config(values)
+        config = build(source)
     for item in caught:
         print(f"warning: {item.message}", file=sys.stderr)
     return config
@@ -426,7 +426,7 @@ def _read_solution(manifest_path: str):
     """(manifest, its directory, config, stored field) of a solve's output."""
     manifest = load_manifest(manifest_path)
     manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
-    config = parse_config(manifest["config_echo"])
+    config = _printing_warnings(parse_config, manifest["config_echo"])
     field = field_from_spectrum_csv(os.path.join(manifest_dir, "spectrum.csv"), config.grid)
     return manifest, manifest_dir, config, field
 
@@ -447,8 +447,9 @@ def _verify_checks(manifest: dict, manifest_dir: str, config: SolverConfig,
     rel_dev = validation.parity_deviation(field, config.parity, config.weight, norm0)
     yield "parity_relation", rel_dev <= 1e-12, f"relative deviation {rel_dev!r}"
 
-    peak = float(np.max(np.abs(synthesize(field)))) or 1.0
-    means = float(np.max(np.abs(time_means(field))))
+    samples = synthesize(field)
+    peak = float(np.max(np.abs(samples))) or 1.0
+    means = float(np.max(np.abs(samples.mean(axis=1))))
     yield "zero_time_mean", means <= 1e-13 * peak, f"max site mean {means!r}"
 
     strong = validation.strong_residual(field, config.potential, config.weight)

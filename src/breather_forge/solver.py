@@ -94,14 +94,12 @@ class BreatherResult:
 
 
 def _as_vector(field: SpectralField) -> np.ndarray:
-    c = field.coeffs
-    return np.concatenate([c.real.ravel(), c.imag.ravel()])
+    """Real cosine coefficients: the class u(t) = u(-t) holds every seed, and S keeps it."""
+    return field.coeffs.real.ravel()
 
 
 def _as_field(grid: GridSpec, vec: np.ndarray) -> SpectralField:
-    half = vec.size // 2
-    shape = (grid.n_sites, grid.n_harmonics)
-    return SpectralField(grid, vec[:half].reshape(shape) + 1j * vec[half:].reshape(shape))
+    return SpectralField(grid, vec.reshape(grid.n_sites, grid.n_harmonics))
 
 
 def build_seed(config: SolverConfig) -> SpectralField:
@@ -153,12 +151,13 @@ def _finalize(config: SolverConfig, out: _Outcome, trace: list) -> BreatherResul
 
 
 def _residual(config: SolverConfig, fld: SpectralField) -> SpectralField:
-    """P S(x) - x for an iterate x of the parity class, P its projector."""
+    """Re P S(x) - x for an iterate x of the class, P the parity projector."""
     project = parity_projector(config.parity)
-    return fld.with_coeffs(project(apply_S(fld, config.potential)).coeffs - fld.coeffs)
+    return fld.with_coeffs(project(apply_S(fld, config.potential)).coeffs.real - fld.coeffs)
 
 
-def _evaluate(config: SolverConfig, fld: SpectralField, trace: list):
+def _evaluate(config: SolverConfig, fld: SpectralField, trace: list,
+              res_field: SpectralField | None = None):
     """(status, residual, fp_residual) of an iterate; appends its trace row.
 
     The status is collapse or divergence by the X0 norm (no residual then,
@@ -167,14 +166,16 @@ def _evaluate(config: SolverConfig, fld: SpectralField, trace: list):
     (``validation.strong_residual_limit``): a fixed-point residual below tol
     does not always imply it, because the two norms weigh the harmonics
     differently, and a Newton step that lands just under tol has been
-    measured at 11 times tol in the strong form.
+    measured at 11 times tol in the strong form.  ``res_field`` is the
+    iterate's residual when the caller has computed it already.
     """
     norm = x0_norm(fld, config.weight)
     if norm <= config.tol_zero or norm > DIVERGENCE_NORM:
         trace.append((len(trace), float("nan"), norm))
         status = STATUS_COLLAPSED if norm <= config.tol_zero else STATUS_DIVERGED
         return status, None, float("nan")
-    res_field = _residual(config, fld)
+    if res_field is None:
+        res_field = _residual(config, fld)
     fp_res = x0_norm(res_field, config.weight) / norm
     trace.append((len(trace), fp_res, norm))
     converged = (fp_res <= config.tol_residual
@@ -214,7 +215,7 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
     along so a hybrid caller can pass it to Newton.
     """
     project = parity_projector(config.parity)
-    x_field = project(start)
+    x_field = project(_as_field(config.grid, _as_vector(start)))
     x_hist: list[np.ndarray] = []
     f_hist: list[np.ndarray] = []
     best_field, best_res = x_field, float("inf")
@@ -246,7 +247,7 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
 
 def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
                   trace: list) -> _Outcome:
-    """Matrix-free Newton on F(x) = x - P S(x) over the parity class, P its projector.
+    """Matrix-free Newton on F(x) = x - Re P S(x) over the class, P the parity projector.
 
     GMRES applies the exact Jacobian J w = P w - P DS(x) P w, with the
     derivative DS(x) w = M^{-1} Delta (W''(u) w) linearised once per outer
@@ -257,15 +258,12 @@ def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
     """
     project = parity_projector(config.parity)
     grid = config.grid
-    x_field = project(start)
-    fp_res = float("inf")
+    x_field = project(_as_field(grid, _as_vector(start)))
+    res_field = None  # the line search's residual of the accepted step, if any
     best_res = float("inf")
     since_best = 0
     for _ in range(outer_budget):
-        status, res_field, fp = _evaluate(config, x_field, trace)
-        if status == STATUS_DIVERGED:
-            return _Outcome(status, x_field, fp_res)  # the last finite residual
-        fp_res = fp
+        status, res_field, fp_res = _evaluate(config, x_field, trace, res_field)
         if status is not None:
             return _Outcome(status, x_field, fp_res)
         if fp_res < 0.5 * best_res:
@@ -292,8 +290,8 @@ def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
         for halvings in range(5):
             candidate = project(_as_field(grid, x_vec + delta))
             # halve the step, at most four times, until the residual does not grow
-            if halvings == 4 or np.linalg.norm(
-                    _as_vector(_residual(config, candidate))) <= r_norm:
+            res_field = None if halvings == 4 else _residual(config, candidate)
+            if res_field is None or np.linalg.norm(_as_vector(res_field)) <= r_norm:
                 break
             delta = 0.5 * delta
         x_field = candidate
@@ -432,7 +430,7 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
     omegas = np.linspace(omega_from, omega_to, steps)
     results: list[BreatherResult] = []
     carry: SpectralField | None = None
-    last_good_omega: float | None = None
+    last_good_omega: float | None = None  # set whenever carry is
     for omega in omegas:
         cfg = config.with_omega(float(omega))
         try:
@@ -440,14 +438,13 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
         except ResonanceError:
             results.append(_resonance_placeholder(cfg))
             continue
-        if res.status != STATUS_CONVERGED and carry is not None and last_good_omega is not None:
+        if res.status != STATUS_CONVERGED and carry is not None:
+            # no ResonanceError: the midpoint lies above a frequency that cleared
+            # the band check, and min |nu| = Omega^2 - 4 grows with Omega
             mid_cfg = config.with_omega(0.5 * (last_good_omega + float(omega)))
-            try:
-                mid = solve(mid_cfg, _interpolate(carry, mid_cfg.grid))
-                if mid.status == STATUS_CONVERGED:
-                    res = solve(cfg, _interpolate(mid.field, cfg.grid))
-            except ResonanceError:
-                pass
+            mid = solve(mid_cfg, _interpolate(carry, mid_cfg.grid))
+            if mid.status == STATUS_CONVERGED:
+                res = solve(cfg, _interpolate(mid.field, cfg.grid))
         results.append(res)
         if res.status == STATUS_CONVERGED:
             carry, last_good_omega = res.field, float(omega)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,24 @@ def test_sweep_writes_no_samples(tmp_path):
         point = out / f"point_{idx:03d}"
         assert not (point / "samples.csv").exists()
         assert "samples.csv" not in load_manifest(str(point / "manifest.json"))["artifact_paths"]
+
+
+@pytest.mark.parametrize("command", ["verify", "integrate"])
+def test_reading_a_resonant_point_prints_one_warning_line(command, tmp_path, capsys):
+    out = tmp_path / "sw"
+    rc = run_command(["sweep", "--omega-from", "2.4", "--omega-to", "1.6", "--steps", "3",
+                      "--quartic", "1", "--n-sites", "32", "--harmonics", "8",
+                      "--seed-amplitude", "0.8", "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        run_command([command, "--manifest", str(out / "point_002" / "manifest.json")])
+    assert [w for w in escaped if issubclass(w.category, ConfigWarning)] == []
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "arning" in line] == [
+        "warning: omega^2 = 2.56 does not clear the phonon band edge 4; "
+        "solving will fail with a resonance error"]
 
 
 @pytest.mark.parametrize("argv", [

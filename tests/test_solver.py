@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from breather_forge import (GridSpec, PotentialSpec, ResonanceError,
                             SolverConfig, UnsupportedPotentialError, WeightSpec,
@@ -119,7 +120,7 @@ def test_converged_means_strong_residual_within_limit():
 @pytest.mark.parametrize("solve_fn, amplitude, iterations, fp_residual", [
     (hybrid_solve, 40.0, 6, math.nan),   # Picard runs away; no iterate is rescuable
     (picard_solve, 40.0, 6, math.nan),
-    (newton_solve, 1e7, 0, math.inf),    # Newton's last residual: none before the seed
+    (newton_solve, 1e7, 0, math.nan),    # the seed itself is past DIVERGENCE_NORM
 ])
 def test_runaway_seed_ends_diverged(solve_fn, amplitude, iterations, fp_residual):
     cfg = replace(flagship_config("odd"), seed=(amplitude, 1.0))
@@ -128,6 +129,46 @@ def test_runaway_seed_ends_diverged(solve_fn, amplitude, iterations, fp_residual
     assert result.iterations == iterations
     assert math.isnan(result.trace[-1][1])
     np.testing.assert_equal(result.fp_residual, fp_residual)
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("strategy", ["picard", "newton", "hybrid"])
+def test_solved_fields_lie_in_the_time_reversal_class(strategy, parity):
+    # the solvers iterate on the real cosine coefficients, u(t) = u(-t)
+    result = solve(replace(flagship_config(parity), strategy=strategy))
+    assert np.all(result.field.coeffs.imag == 0.0)
+
+
+def test_sweep_and_refined_fields_lie_in_the_time_reversal_class(flagship_result):
+    sweep = continuation_sweep(flagship_config("odd"), 2.3, 2.2, 3)
+    assert [r.status for r in sweep] == ["converged"] * 3
+    fields = [r.field for r in sweep] + [refine(flagship_result, 2).field]
+    assert all(np.all(fld.coeffs.imag == 0.0) for fld in fields)
+
+
+def test_odd_flagship_work_counts(monkeypatch):
+    # machine-independent cost of the hybrid solve from seed (0.8, 1.0): the
+    # Newton iterate's residual comes from the line search, not a second S
+    counts = {"apply_S": 0, "gmres": 0, "matvec": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def gmres(op, b, **kwargs):
+        counted_op = LinearOperator(op.shape, matvec=counting("matvec", op.matvec),
+                                    dtype=op.dtype)
+        return real_gmres(counted_op, b, **kwargs)
+
+    real_gmres = solver_module.gmres
+    monkeypatch.setattr(solver_module, "apply_S", counting("apply_S", apply_S))
+    monkeypatch.setattr(solver_module, "gmres", counting("gmres", gmres))
+    result = hybrid_solve(flagship_config("odd"))
+    assert result.status == "converged"
+    assert (result.iterations, counts["apply_S"], counts["matvec"], counts["gmres"]) == \
+        (15, 17, 22, 5)
 
 
 def test_newton_from_zero_collapses():
