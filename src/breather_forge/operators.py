@@ -22,7 +22,7 @@ import numpy as np
 
 from .lattice_model import PotentialSpec, dispersion, eval_potential, force, stiffness
 from .spectral_field import GridSpec, SpectralField, analyze, synthesize, x0_norm, \
-    WeightSpec, dealiased_sample_count, random_field
+    WeightSpec, dealiased_sample_count, harmonics_of, random_field
 
 RESONANCE_FLOOR = 1e-9
 
@@ -85,14 +85,14 @@ def apply_M_via_multiplier(field: SpectralField) -> SpectralField:
     """Multiplier route: spatial FFT, multiply by nu_m(k), inverse FFT."""
     mult = Multiplier.build(field.grid)
     spectral = np.fft.fft(field.coeffs, axis=0)
-    return field.with_coeffs(np.fft.ifft(spectral * mult.table.T, axis=0))
+    return field.with_coeffs(np.fft.ifft(spectral * mult.table.T, axis=0).real)
 
 
 def apply_M_inverse(field: SpectralField) -> SpectralField:
     """Invert M by spectral division; requires Om^2 > 4 (non-resonance)."""
     nu, _ = _symbols(field.grid)
     spectral = np.fft.fft(field.coeffs, axis=0)
-    return field.with_coeffs(np.fft.ifft(spectral / nu, axis=0))
+    return field.with_coeffs(np.fft.ifft(spectral / nu, axis=0).real)
 
 
 def _collocation_count(field: SpectralField, spec: PotentialSpec) -> int:
@@ -118,10 +118,11 @@ def apply_N(field: SpectralField, spec: PotentialSpec) -> SpectralField:
 
 
 def _apply_symbol(field: SpectralField, samples: np.ndarray) -> SpectralField:
-    """M^{-1} of the second difference of collocation samples, via sigma."""
+    """M^{-1} of the second difference of collocation samples, via sigma; the
+    sine parts (round-off) ride through the site FFTs and are dropped last."""
     _, sigma = _symbols(field.grid)
-    coeffs = analyze(field.grid, samples).coeffs
-    return field.with_coeffs(np.fft.ifft(np.fft.fft(coeffs, axis=0) * sigma, axis=0))
+    coeffs = harmonics_of(field.grid, samples)
+    return field.with_coeffs(np.fft.ifft(np.fft.fft(coeffs, axis=0) * sigma, axis=0).real)
 
 
 def apply_S(field: SpectralField, spec: PotentialSpec) -> SpectralField:

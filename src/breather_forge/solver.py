@@ -93,11 +93,6 @@ class BreatherResult:
     refinement_change: float | None = None
 
 
-def _as_vector(field: SpectralField) -> np.ndarray:
-    """Real cosine coefficients: the class u(t) = u(-t) holds every seed, and S keeps it."""
-    return field.coeffs.real.ravel()
-
-
 def _as_field(grid: GridSpec, vec: np.ndarray) -> SpectralField:
     return SpectralField(grid, vec.reshape(grid.n_sites, grid.n_harmonics))
 
@@ -151,9 +146,9 @@ def _finalize(config: SolverConfig, out: _Outcome, trace: list) -> BreatherResul
 
 
 def _residual(config: SolverConfig, fld: SpectralField) -> SpectralField:
-    """Re P S(x) - x for an iterate x of the class, P the parity projector."""
+    """P S(x) - x for an iterate x, P the parity projector."""
     project = parity_projector(config.parity)
-    return fld.with_coeffs(project(apply_S(fld, config.potential)).coeffs.real - fld.coeffs)
+    return fld.with_coeffs(project(apply_S(fld, config.potential)).coeffs - fld.coeffs)
 
 
 def _evaluate(config: SolverConfig, fld: SpectralField, trace: list,
@@ -215,7 +210,7 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
     along so a hybrid caller can pass it to Newton.
     """
     project = parity_projector(config.parity)
-    x_field = project(_as_field(config.grid, _as_vector(start)))
+    x_field = project(start)
     x_hist: list[np.ndarray] = []
     f_hist: list[np.ndarray] = []
     best_field, best_res = x_field, float("inf")
@@ -229,9 +224,9 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
         if (status is not None or since_best >= stall_window
                 or (handover_residual is not None and fp_res <= handover_residual)):
             return _Outcome(status, x_field, fp_res, best_field, best_res)
-        x_vec = _as_vector(x_field)
+        x_vec = x_field.coeffs.ravel()
         x_hist.append(x_vec)
-        f_hist.append(_as_vector(res_field))
+        f_hist.append(res_field.coeffs.ravel())
         if len(x_hist) > config.accel_depth + 1:
             x_hist.pop(0)
             f_hist.pop(0)
@@ -247,7 +242,7 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
 
 def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
                   trace: list) -> _Outcome:
-    """Matrix-free Newton on F(x) = x - Re P S(x) over the class, P the parity projector.
+    """Matrix-free Newton on F(x) = x - P S(x), P the parity projector.
 
     GMRES applies the exact Jacobian J w = P w - P DS(x) P w, with the
     derivative DS(x) w = M^{-1} Delta (W''(u) w) linearised once per outer
@@ -258,7 +253,7 @@ def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
     """
     project = parity_projector(config.parity)
     grid = config.grid
-    x_field = project(_as_field(grid, _as_vector(start)))
+    x_field = project(start)
     res_field = None  # the line search's residual of the accepted step, if any
     best_res = float("inf")
     since_best = 0
@@ -277,21 +272,21 @@ def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
 
         def matvec(w: np.ndarray) -> np.ndarray:
             w_field = project(_as_field(grid, w))
-            return _as_vector(w_field) - _as_vector(project(jvp(w_field)))
+            return w_field.coeffs.ravel() - project(jvp(w_field)).coeffs.ravel()
 
-        r_vec = _as_vector(res_field)  # -F(x)
+        r_vec = res_field.coeffs.ravel()  # -F(x)
         op = LinearOperator((r_vec.size, r_vec.size), matvec=matvec, dtype=float)
         # restart length bounds the matvec count per outer step
         delta, _ = gmres(op, r_vec, rtol=1e-3, atol=0.0, restart=60, maxiter=3)
         if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) == 0.0:
             return _Outcome(None, x_field, fp_res)
         r_norm = np.linalg.norm(r_vec)
-        x_vec = _as_vector(x_field)
+        x_vec = x_field.coeffs.ravel()
         for halvings in range(5):
             candidate = project(_as_field(grid, x_vec + delta))
             # halve the step, at most four times, until the residual does not grow
             res_field = None if halvings == 4 else _residual(config, candidate)
-            if res_field is None or np.linalg.norm(_as_vector(res_field)) <= r_norm:
+            if res_field is None or np.linalg.norm(res_field.coeffs) <= r_norm:
                 break
             delta = 0.5 * delta
         x_field = candidate
@@ -386,11 +381,9 @@ def solve(config: SolverConfig, initial: SpectralField | None = None) -> Breathe
 
 def _interpolate(field: SpectralField, grid: GridSpec) -> SpectralField:
     """Embed a field into a finer grid: zero-pad sites outward and harmonics up."""
-    out = np.zeros((grid.n_sites, grid.n_harmonics), dtype=complex)
-    n_old = field.grid.n_sites
-    offset = (grid.n_sites - n_old) // 2
-    out[offset:offset + n_old, :field.grid.n_harmonics] = field.coeffs
-    return SpectralField(grid, out)
+    pad = (grid.n_sites - field.grid.n_sites) // 2  # both counts are even
+    return SpectralField(grid, np.pad(field.coeffs, (
+        (pad, pad), (0, grid.n_harmonics - field.grid.n_harmonics))))
 
 
 def refine(result: BreatherResult, factor: int) -> BreatherResult:

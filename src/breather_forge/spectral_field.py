@@ -1,8 +1,9 @@
 """Space-time Fourier fields on a periodic lattice, weighted norms, parity.
 
-A field u_n(t) is T-periodic with zero time mean per site and is stored as
-complex coefficients c[i, j] for harmonics m = j+1 in 1..M; negative
-harmonics are implied by conjugation, so synthesized samples are real.
+A field u_n(t) is T-periodic, time-reversal symmetric (u(t) = u(-t)) and of
+zero time mean per site, so it is a cosine series: it is stored as real
+coefficients a[i, j] for harmonics m = j+1 in 1..M, with
+u_n(t) = 2 sum_m a[n, m] cos(m Om t).
 Storage row i corresponds to physical site n = i - N/2, i.e. the lattice
 circle is laid out left to right with the origin at the centre.
 The parity class (names, reflection centre, projector) is defined here only.
@@ -93,32 +94,35 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Zero-time-mean field: coeffs[i, j] is the m = j+1 harmonic at site i."""
+    """Cosine field: coeffs[i, j] is the real m = j+1 coefficient at site i.
+    A complex array is refused, never cast, so no sine part is dropped."""
 
     grid: GridSpec
     coeffs: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.coeffs):
+            raise ValueError("coefficients must be real: a field is a cosine series")
         expected = (self.grid.n_sites, self.grid.n_harmonics)
-        if self.coeffs.shape != expected:
+        if np.shape(self.coeffs) != expected:
             raise ValueError(f"coefficient array must have shape {expected}")
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
-        return SpectralField(self.grid, np.asarray(coeffs, dtype=complex))
+        return SpectralField(self.grid, coeffs)
 
 
 def zero_field(grid: GridSpec) -> SpectralField:
-    return SpectralField(grid, np.zeros((grid.n_sites, grid.n_harmonics), dtype=complex))
+    return SpectralField(grid, np.zeros((grid.n_sites, grid.n_harmonics)))
 
 
 def random_field(grid: GridSpec, rng: np.random.Generator) -> SpectralField:
     """Gaussian coefficients, useful as probe input for operator tests."""
-    shape = (grid.n_sites, grid.n_harmonics)
-    return SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return SpectralField(grid, rng.standard_normal((grid.n_sites, grid.n_harmonics)))
 
 
 def synthesize(field: SpectralField, n_time_samples: int | None = None) -> np.ndarray:
-    """Real samples u[i, j] at t_j = j*T/N_t reconstructed with conjugate pairs."""
+    """Samples u[i, j] at t_j = j*T/N_t of the cosine series."""
     grid = field.grid
     nt = grid.n_time_samples if n_time_samples is None else n_time_samples
     if nt < 2 * grid.n_harmonics + 2:
@@ -128,18 +132,19 @@ def synthesize(field: SpectralField, n_time_samples: int | None = None) -> np.nd
     return np.fft.irfft(spectrum, n=nt, axis=1)
 
 
-def analyze(grid: GridSpec, samples: np.ndarray) -> SpectralField:
-    """Project samples onto the stored harmonics.
-
-    The time mean (m = 0) is discarded and harmonics above M truncated,
-    the discrete form of the zero-average coefficient integral.
-    """
+def harmonics_of(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
+    """Complex harmonics 1..M of samples over one period: cosine part real,
+    sine part imaginary.  The time mean (m = 0) is discarded and harmonics
+    above M truncated, the discrete zero-average coefficient integral."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.n_sites:
         raise ValueError("site count mismatch")
-    nt = samples.shape[1]
-    spectrum = np.fft.rfft(samples, axis=1) / nt
-    return SpectralField(grid, spectrum[:, 1:grid.n_harmonics + 1].astype(complex))
+    return np.fft.rfft(samples, axis=1)[:, 1:grid.n_harmonics + 1] / samples.shape[1]
+
+
+def analyze(grid: GridSpec, samples: np.ndarray) -> SpectralField:
+    """Project samples onto the stored cosine harmonics."""
+    return SpectralField(grid, harmonics_of(grid, samples).real.copy())
 
 
 def _site_weights(n_sites: int, w: WeightSpec) -> np.ndarray:
@@ -167,10 +172,10 @@ def x0_norm(field: SpectralField, w: WeightSpec) -> float:
     """Time-averaged weighted l2 norm, computed spectrally.
 
     Parseval in time turns (1/T) * integral of ||u(t)||_w^2 into
-    sum_n w_n * 2 * sum_m |c_nm|^2.
+    sum_n w_n * 2 * sum_m a_nm^2.
     """
     wn = weights(field.grid, w)
-    return float(np.sqrt(np.sum(wn * 2.0 * np.sum(np.abs(field.coeffs) ** 2, axis=1))))
+    return float(np.sqrt(np.sum(wn * 2.0 * np.sum(field.coeffs**2, axis=1))))
 
 
 def x2_norm(field: SpectralField, w: WeightSpec) -> float:
@@ -178,7 +183,7 @@ def x2_norm(field: SpectralField, w: WeightSpec) -> float:
     wn = weights(field.grid, w)
     om2 = (field.grid.omega * field.grid.harmonics) ** 2
     fac = 1.0 + om2 + om2**2
-    return float(np.sqrt(np.sum(wn[:, None] * 2.0 * fac[None, :] * np.abs(field.coeffs) ** 2)))
+    return float(np.sqrt(np.sum(wn[:, None] * 2.0 * fac[None, :] * field.coeffs**2)))
 
 
 def project_even(field: SpectralField) -> SpectralField:
@@ -234,7 +239,7 @@ def seed_field(grid: GridSpec, parity: str, amplitude: float, width: float) -> S
     profile = amplitude / np.cosh(width * (grid.sites - center))
     if parity == "even":
         profile = profile * np.sign(grid.sites - center)
-    coeffs = np.zeros((grid.n_sites, grid.n_harmonics), dtype=complex)
+    coeffs = np.zeros((grid.n_sites, grid.n_harmonics))
     coeffs[:, 0] = profile / 2.0
     return parity_projector(parity)(SpectralField(grid, coeffs))
 

@@ -171,22 +171,9 @@ def _periodic_energy(x: np.ndarray, y: np.ndarray, spec: PotentialSpec) -> float
 def initial_conditions(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     """Extract (x(0), y(0)) from a spectral solution.
 
-    x(0) comes straight from the coefficients.  y solves the linear relation
-    x' = 2 y_n - y_{n+1} - y_{n-1} per harmonic by spatial spectral division
-    with eigenvalue 2 - 2 cos k; the k = 0 component of y is gauge and set
-    to zero (the k = 0 part of x' vanishes for zero-mean localised fields).
-    """
-    grid = field.grid
-    c = field.coeffs
-    x0 = 2.0 * np.sum(c.real, axis=1)
-    k = 2.0 * np.pi * np.arange(grid.n_sites) / grid.n_sites
-    eig = 2.0 - 2.0 * np.cos(k)
-    xdot_hat = np.fft.fft(1j * grid.omega * grid.harmonics[None, :] * c, axis=0)
-    y_hat = np.zeros_like(xdot_hat)
-    y_hat[1:, :] = xdot_hat[1:, :] / eig[1:, None]
-    yc = np.fft.ifft(y_hat, axis=0)
-    y0 = 2.0 * np.sum(yc.real, axis=1)
-    return x0, y0
+    x(0) = 2 sum_m a_m.  A time-reversal-symmetric field starts at rest, so
+    x' = 2 y_n - y_{n+1} - y_{n-1} = 0 leaves y(0) constant: gauge, set to 0."""
+    return 2.0 * np.sum(field.coeffs, axis=1), np.zeros(field.grid.n_sites)
 
 
 def check_integration_args(periods: int, steps_per_period: int):

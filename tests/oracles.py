@@ -105,15 +105,19 @@ def central_block(profile: np.ndarray, n_out: int) -> np.ndarray:
     return profile[half - n_out // 2: half + n_out // 2]
 
 
-def single_mode_field(grid: GridSpec, site: int, m: int, value: complex) -> SpectralField:
-    coeffs = np.zeros((grid.n_sites, grid.n_harmonics), dtype=complex)
+def single_mode_field(grid: GridSpec, site: int, m: int, value: float) -> SpectralField:
+    coeffs = np.zeros((grid.n_sites, grid.n_harmonics))
     coeffs[site + grid.n_sites // 2, m - 1] = value
     return SpectralField(grid, coeffs)
 
 
-def plane_wave_field(grid: GridSpec, j: int, m: int, scale: complex = 0.5) -> SpectralField:
-    """Spatial plane wave exp(i k_j n) in harmonic m."""
+def plane_wave_field(grid: GridSpec, j: int, m: int, scale: float = 0.5) -> SpectralField:
+    """Spatial standing wave cos(k_j n) in harmonic m.
+
+    It shares the eigenvalues of the plane waves exp(+-i k_j n), which are
+    even in k.
+    """
     k = 2.0 * np.pi * j / grid.n_sites
-    coeffs = np.zeros((grid.n_sites, grid.n_harmonics), dtype=complex)
-    coeffs[:, m - 1] = scale * np.exp(1j * k * grid.sites)
+    coeffs = np.zeros((grid.n_sites, grid.n_harmonics))
+    coeffs[:, m - 1] = scale * np.cos(k * grid.sites)
     return SpectralField(grid, coeffs)

@@ -229,6 +229,7 @@ def test_spectrum_reload_is_exact(solved_dir, flagship_result):
     config = parse_config(load_manifest(str(solved_dir / "manifest.json"))["config_echo"])
     field = field_from_spectrum_csv(str(solved_dir / "spectrum.csv"), config.grid)
     assert np.array_equal(field.coeffs, flagship_result.field.coeffs)
+    assert field.coeffs.dtype == np.float64
 
 
 def _shift_first_row(column, shift):
@@ -301,6 +302,64 @@ def test_malformed_spectrum_row_names_the_file(edit, solved_dir, tmp_path, capsy
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert captured.err.startswith(f"error: {path}: ")
     assert "CHECK" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["verify", "integrate"])
+def test_spectrum_with_a_sine_part_exits_one_with_one_error_line(command, solved_dir,
+                                                                 tmp_path, capsys):
+    for name in ("manifest.json", "trace.csv"):
+        (tmp_path / name).write_bytes((solved_dir / name).read_bytes())
+    lines = (solved_dir / "spectrum.csv").read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[3] = "1e-300"
+    lines[4] = ",".join(cells)
+    path = tmp_path / "spectrum.csv"
+    path.write_text("\r\n".join(lines) + "\r\n")
+    config = parse_config(load_manifest(str(solved_dir / "manifest.json"))["config_echo"])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 1 nonzero im cells")):
+        field_from_spectrum_csv(str(path), config.grid)
+    rc = run_command([command, "--manifest", str(tmp_path / "manifest.json")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {path}: ")
+    assert "CHECK" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["verify", "integrate"])
+@pytest.mark.parametrize("manifest, key", [
+    ({}, "config_echo"), ([1], "config_echo"), ("no_result", "result"),
+], ids=["empty_object", "list", "flagship_without_result"])
+def test_malformed_manifest_exits_one_with_one_error_line(command, manifest, key, solved_dir,
+                                                         tmp_path, capsys):
+    for name in ("spectrum.csv", "trace.csv"):
+        (tmp_path / name).write_bytes((solved_dir / name).read_bytes())
+    if manifest == "no_result":
+        manifest = load_manifest(str(solved_dir / "manifest.json"))
+        del manifest["result"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    rc = run_command([command, "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {path}: ")
+    assert f"'{key}'" in captured.err
+    assert "CHECK" not in captured.out
+
+
+def test_reproducible_trace_names_the_first_differing_row(solved_dir, tmp_path, capsys):
+    for name in ("manifest.json", "spectrum.csv"):
+        (tmp_path / name).write_bytes((solved_dir / name).read_bytes())
+    lines = (solved_dir / "trace.csv").read_text().splitlines()
+    original = lines[4]  # iter 3
+    cells = original.split(",")
+    cells[1] = cells[1][:-1] + str((int(cells[1][-1]) + 1) % 10)  # one fp_residual digit
+    lines[4] = ",".join(cells)
+    (tmp_path / "trace.csv").write_text("\r\n".join(lines) + "\r\n")
+    rc = run_command(["verify", "--manifest", str(tmp_path / "manifest.json")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert (f"CHECK reproducible_trace: FAIL (first differing row iter 3: "
+            f"stored {lines[4]!r}, re-solved {original!r})") in out.splitlines()
 
 
 def test_decay_file_slope_matches_fit(solved_dir, flagship_result):
@@ -425,6 +484,26 @@ def test_reading_a_resonant_point_prints_one_warning_line(command, tmp_path, cap
     assert [line for line in err.splitlines() if "arning" in line] == [
         "warning: omega^2 = 2.56 does not clear the phonon band edge 4; "
         "solving will fail with a resonance error"]
+
+
+def test_verify_reaches_a_verdict_on_a_resonance_record(tmp_path, capsys):
+    out = tmp_path / "sw"
+    rc = run_command(["sweep", "--omega-from", "2.4", "--omega-to", "1.6", "--steps", "3",
+                      "--quartic", "1", "--n-sites", "32", "--harmonics", "8",
+                      "--seed-amplitude", "0.8", "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    rc = run_command(["verify", "--manifest", str(out / "point_002" / "manifest.json")])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert rc == 1
+    # the record holds no bounds, so bounds_arithmetic is not among the checks
+    assert len(lines) == 8 and all(line.startswith("CHECK ") for line in lines)
+    assert [line for line in lines if ": FAIL" in line] == [
+        "CHECK operator_norm_bound: FAIL "
+        "(omega^2 = 2.56 does not clear the phonon band edge 4)"]
+    assert "CHECK reproducible_trace: PASS (0 iterates compared bit-identically)" in lines
+    assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -137,6 +137,7 @@ def test_solved_fields_lie_in_the_time_reversal_class(strategy, parity):
     # the solvers iterate on the real cosine coefficients, u(t) = u(-t)
     result = solve(replace(flagship_config(parity), strategy=strategy))
     assert np.all(result.field.coeffs.imag == 0.0)
+    assert result.field.coeffs.dtype == np.float64
 
 
 def test_sweep_and_refined_fields_lie_in_the_time_reversal_class(flagship_result):
@@ -144,6 +145,7 @@ def test_sweep_and_refined_fields_lie_in_the_time_reversal_class(flagship_result
     assert [r.status for r in sweep] == ["converged"] * 3
     fields = [r.field for r in sweep] + [refine(flagship_result, 2).field]
     assert all(np.all(fld.coeffs.imag == 0.0) for fld in fields)
+    assert all(fld.coeffs.dtype == np.float64 for fld in fields)
 
 
 def test_odd_flagship_work_counts(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breather_forge import (GridSpec, WeightOverflowError, WeightSpec, analyze,
+from breather_forge import (GridSpec, SpectralField, WeightOverflowError, WeightSpec, analyze,
                             project_even, project_odd, random_field,
                             seed_field, synthesize, time_means,
                             weighted_profile_norm, weights, x0_norm, x2_norm,
@@ -34,6 +34,16 @@ def test_dealiasing_rule():
     grid = GridSpec.with_dealiasing(64, 16, 3.0, wprime_degree=3)
     assert grid.n_time_samples >= 2 * 4 * 16 + 1
     assert grid.n_time_samples % 2 == 0
+
+
+def test_field_refuses_complex_coefficients():
+    # a field is a cosine series; an imaginary part is refused, never dropped
+    coeffs = np.zeros((GRID.n_sites, GRID.n_harmonics), dtype=complex)
+    with pytest.raises(ValueError, match="real"):
+        SpectralField(GRID, coeffs)
+    with pytest.raises(ValueError, match="real"):
+        zero_field(GRID).with_coeffs(coeffs + 1j)
+    assert SpectralField(GRID, coeffs.real).coeffs.dtype == np.float64
 
 
 def test_synthesize_single_mode_is_cosine():

@@ -115,7 +115,7 @@ def test_strong_residual_cases(flagship_result):
     grid = GridSpec(32, 8, 66, 2.5)
     assert strong_residual(zero_field(grid), QUARTIC) == 0.0
     rng = np.random.default_rng(8)
-    noise = SpectralField(grid, rng.standard_normal((32, 8)) + 0j)
+    noise = SpectralField(grid, rng.standard_normal((32, 8)))
     assert strong_residual(noise, QUARTIC) > 0.0
     res = flagship_result
     assert res.strong_residual <= 10.0 * 1e-10 * res.x2_norm
@@ -138,6 +138,15 @@ def test_initial_conditions_solve_velocity_relation(flagship_result):
     assert np.allclose(relation, xdot0, atol=1e-12)
 
 
+@pytest.mark.parametrize("which", ["flagship_result", "flagship_even_result"])
+def test_initial_conditions_start_at_rest(which, request):
+    # a cosine field has x'(0) = 0, so y(0) is its gauge value, zero
+    field = request.getfixturevalue(which).field
+    x0, y0 = initial_conditions(field)
+    assert np.all(y0 == 0.0)
+    assert np.allclose(x0, synthesize(field)[:, 0], rtol=0.0, atol=1e-13)
+
+
 def test_integrate_zero_field_has_zero_drifts():
     report = integrate_trajectory(zero_field(GridSpec(32, 8, 66, 2.5)),
                                   QUARTIC, 2, 128)
@@ -155,7 +164,7 @@ def test_integrate_rejects_coarse_grids():
 def test_integrator_order_on_phonon_standing_wave():
     # band-edge standing wave of the harmonic lattice: x_n = (-1)^n a cos(2t)
     grid = GridSpec(32, 8, 66, 2.0)
-    coeffs = np.zeros((32, 8), dtype=complex)
+    coeffs = np.zeros((32, 8))
     coeffs[:, 0] = 0.05 * (-1.0) ** np.abs(grid.sites) / 2.0
     field = SpectralField(grid, coeffs)
     harmonic = PotentialSpec()
@@ -211,7 +220,7 @@ def test_long_run_drifts_stay_bounded(flagship_result):
 def test_trajectory_blow_up_detected():
     # soft quartic potential is unbounded below; a large kick escapes
     grid = GridSpec(32, 8, 66, 2.5)
-    coeffs = np.zeros((32, 8), dtype=complex)
+    coeffs = np.zeros((32, 8))
     coeffs[16, 0] = 4.0
     field = SpectralField(grid, coeffs)
     with pytest.raises(BlowUpError):
