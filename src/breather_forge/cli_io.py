@@ -415,6 +415,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not bool (an int subclass)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _read_solution(manifest_path: str):
     """(manifest, its directory, config, stored field) of a solve's output."""
     manifest = load_manifest(manifest_path)
@@ -422,6 +427,14 @@ def _read_solution(manifest_path: str):
         raise ValueError(f"{manifest_path}: no string 'config_echo' in the manifest")
     if not isinstance(manifest.get("result"), dict) or "x0_norm" not in manifest["result"]:
         raise ValueError(f"{manifest_path}: no 'result' object with 'x0_norm' in the manifest")
+    stored = manifest["result"]["x0_norm"]
+    if stored is not None and not _is_number(stored):
+        raise ValueError(f"{manifest_path}: 'result' key 'x0_norm' is not a number or null")
+    bounds = manifest.get("bounds")
+    if bounds is not None and not (isinstance(bounds, dict) and all(
+            _is_number(bounds.get(key)) for key in ("r_max", "r_crit"))):
+        raise ValueError(f"{manifest_path}: 'bounds' is not an object with numeric "
+                         "'r_max' and 'r_crit'")
     manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
     config = _printing_warnings(parse_config, manifest["config_echo"])
     field = field_from_spectrum_csv(os.path.join(manifest_dir, "spectrum.csv"), config.grid)

@@ -12,6 +12,10 @@ The stencil is diagonal on spatial Fourier modes too, with eigenvalue
 to the stored harmonics of W'(u).  ``apply_S`` and its derivative
 ``linearize_S`` take that fused route; ``apply_N`` and ``apply_M_inverse``
 stay separate as the reference route for S and for the strong residual.
+
+The two axes of S are transformed differently.  Time: synthesis and analysis
+of the cosine series are products with real matrices that ``spectral_field``
+caches per (M, N_t).  Sites: the symbol acts through a complex FFT pair.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ def _symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Built once per GridSpec instance and kept on it; GridSpec is frozen, so
     the pair goes into the instance dict directly.  Equal grids built
-    separately each build their own, and nothing is cached process-wide.
+    separately each build their own; only the time-axis cosine matrices of
+    ``spectral_field`` are shared process-wide.
     """
     cached = grid.__dict__.get("_symbols")
     if cached is None:
@@ -118,8 +123,9 @@ def apply_N(field: SpectralField, spec: PotentialSpec) -> SpectralField:
 
 
 def _apply_symbol(field: SpectralField, samples: np.ndarray) -> SpectralField:
-    """M^{-1} of the second difference of collocation samples, via sigma; the
-    sine parts (round-off) ride through the site FFTs and are dropped last."""
+    """M^{-1} of the second difference of collocation samples, via sigma.
+    sigma is real and even in k, so the site FFT pair returns a real array up
+    to round-off, whose imaginary part is dropped last."""
     _, sigma = _symbols(field.grid)
     coeffs = harmonics_of(field.grid, samples)
     return field.with_coeffs(np.fft.ifft(np.fft.fft(coeffs, axis=0) * sigma, axis=0).real)

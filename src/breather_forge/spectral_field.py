@@ -11,6 +11,7 @@ The parity class (names, reflection centre, projector) is defined here only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -121,30 +122,45 @@ def random_field(grid: GridSpec, rng: np.random.Generator) -> SpectralField:
     return SpectralField(grid, rng.standard_normal((grid.n_sites, grid.n_harmonics)))
 
 
+@functools.lru_cache(maxsize=32)
+def _cosine_matrices(n_harmonics: int, n_time_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (synthesis, analysis) pair of the cosine series on N_t samples.
+
+    synthesis[m-1, j] = 2 cos(m 2 pi j / N_t) and analysis = synthesis.T / (2 N_t),
+    so ``coeffs @ synthesis`` samples the series and ``samples @ analysis`` is the
+    discrete cosine coefficient integral.  The phase index m*j is reduced mod N_t
+    first, so every entry is a cosine of an angle in [0, 2 pi).
+    """
+    if n_time_samples < 2 * n_harmonics + 2:
+        raise ValueError("sample count under the Nyquist bound for this field")
+    m = np.arange(1, n_harmonics + 1)
+    phase = 2.0 * np.pi * (np.outer(m, np.arange(n_time_samples)) % n_time_samples)
+    synthesis = 2.0 * np.cos(phase / n_time_samples)
+    analysis = np.ascontiguousarray(synthesis.T) / (2.0 * n_time_samples)
+    synthesis.flags.writeable = analysis.flags.writeable = False
+    return synthesis, analysis
+
+
 def synthesize(field: SpectralField, n_time_samples: int | None = None) -> np.ndarray:
     """Samples u[i, j] at t_j = j*T/N_t of the cosine series."""
     grid = field.grid
     nt = grid.n_time_samples if n_time_samples is None else n_time_samples
-    if nt < 2 * grid.n_harmonics + 2:
-        raise ValueError("sample count under the Nyquist bound for this field")
-    spectrum = np.zeros((grid.n_sites, nt // 2 + 1), dtype=complex)
-    spectrum[:, 1:grid.n_harmonics + 1] = field.coeffs * nt
-    return np.fft.irfft(spectrum, n=nt, axis=1)
+    return field.coeffs @ _cosine_matrices(grid.n_harmonics, nt)[0]
 
 
 def harmonics_of(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
-    """Complex harmonics 1..M of samples over one period: cosine part real,
-    sine part imaginary.  The time mean (m = 0) is discarded and harmonics
-    above M truncated, the discrete zero-average coefficient integral."""
+    """Real cosine coefficients of harmonics 1..M of samples over one period.
+    The time mean (m = 0), the sine parts and harmonics above M are discarded:
+    the discrete zero-average cosine coefficient integral."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.n_sites:
         raise ValueError("site count mismatch")
-    return np.fft.rfft(samples, axis=1)[:, 1:grid.n_harmonics + 1] / samples.shape[1]
+    return samples @ _cosine_matrices(grid.n_harmonics, samples.shape[1])[1]
 
 
 def analyze(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     """Project samples onto the stored cosine harmonics."""
-    return SpectralField(grid, harmonics_of(grid, samples).real.copy())
+    return SpectralField(grid, harmonics_of(grid, samples))
 
 
 def _site_weights(n_sites: int, w: WeightSpec) -> np.ndarray:

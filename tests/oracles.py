@@ -1,6 +1,7 @@
 """Independent oracle routes used by the test suite.
 
-Nothing here shares code with the solver paths it checks: the norm oracle
+Nothing here shares code with the solver paths it checks: the transform
+oracles take the cosine series through numpy's real FFT, the norm oracle
 integrates in the time domain, the dealiasing oracle evaluates the force by
 direct trigonometric summation on a heavily oversampled grid, and the
 periodic-orbit oracle is classical shooting (high-order ODE integration plus
@@ -11,6 +12,18 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from breather_forge import GridSpec, SpectralField, WeightSpec, analyze, weights
+
+
+def fft_synthesize(coeffs: np.ndarray, n_time_samples: int) -> np.ndarray:
+    """FFT route for the samples of u_n(t) = 2 sum_m a[n, m] cos(m Om t)."""
+    spectrum = np.zeros((coeffs.shape[0], n_time_samples // 2 + 1), dtype=complex)
+    spectrum[:, 1:coeffs.shape[1] + 1] = coeffs * n_time_samples
+    return np.fft.irfft(spectrum, n=n_time_samples, axis=1)
+
+
+def fft_analyze(samples: np.ndarray, n_harmonics: int) -> np.ndarray:
+    """FFT route for the cosine coefficients 1..M: real part of the scaled rfft."""
+    return (np.fft.rfft(samples, axis=1)[:, 1:n_harmonics + 1] / samples.shape[1]).real
 
 
 def x0_norm_time_quadrature(field: SpectralField, w: WeightSpec) -> float:

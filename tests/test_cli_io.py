@@ -325,17 +325,32 @@ def test_spectrum_with_a_sine_part_exits_one_with_one_error_line(command, solved
     assert "CHECK" not in captured.out
 
 
+def _without_result(manifest):
+    del manifest["result"]
+
+
+def _bounds_not_an_object(manifest):
+    manifest["bounds"] = 1
+
+
+def _x0_norm_not_a_number(manifest):
+    manifest["result"]["x0_norm"] = "abc"
+
+
 @pytest.mark.parametrize("command", ["verify", "integrate"])
 @pytest.mark.parametrize("manifest, key", [
-    ({}, "config_echo"), ([1], "config_echo"), ("no_result", "result"),
-], ids=["empty_object", "list", "flagship_without_result"])
+    ({}, "config_echo"), ([1], "config_echo"), (_without_result, "result"),
+    (_bounds_not_an_object, "bounds"), (_x0_norm_not_a_number, "x0_norm"),
+], ids=["empty_object", "list", "flagship_without_result", "flagship_bounds_int",
+        "flagship_x0_norm_string"])
 def test_malformed_manifest_exits_one_with_one_error_line(command, manifest, key, solved_dir,
                                                          tmp_path, capsys):
     for name in ("spectrum.csv", "trace.csv"):
         (tmp_path / name).write_bytes((solved_dir / name).read_bytes())
-    if manifest == "no_result":
+    if callable(manifest):
+        edit = manifest
         manifest = load_manifest(str(solved_dir / "manifest.json"))
-        del manifest["result"]
+        edit(manifest)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     rc = run_command([command, "--manifest", str(path)])

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from breather_forge import spectral_field
 from breather_forge import (GridSpec, SpectralField, WeightOverflowError, WeightSpec, analyze,
                             project_even, project_odd, random_field,
                             seed_field, synthesize, time_means,
                             weighted_profile_norm, weights, x0_norm, x2_norm,
                             zero_field)
 
-from oracles import single_mode_field, x0_norm_time_quadrature
+from oracles import fft_analyze, fft_synthesize, single_mode_field, x0_norm_time_quadrature
 
 GRID = GridSpec(64, 16, 130, 3.0)
 seeds = st.integers(0, 2**32 - 1)
@@ -71,6 +72,45 @@ def test_analyze_discards_mean_and_high_harmonics():
     mask = np.ones_like(field.coeffs, dtype=bool)
     mask[3, 1] = False
     assert np.max(np.abs(field.coeffs[mask])) < 1e-15
+
+
+def _relative_error(value: np.ndarray, reference: np.ndarray) -> float:
+    return float(np.max(np.abs(value - reference)) / np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("n_sites, n_harmonics, n_time_samples",
+                         [(64, 16, 130), (96, 16, 130), (32, 8, 66), (32, 8, 130)])
+def test_transforms_match_the_fft_oracle(n_sites, n_harmonics, n_time_samples):
+    grid = GridSpec(n_sites, n_harmonics, n_time_samples, 2.2)
+    rng = np.random.default_rng(n_sites + n_harmonics + n_time_samples)
+    field = random_field(grid, rng)
+    assert _relative_error(synthesize(field),
+                           fft_synthesize(field.coeffs, n_time_samples)) <= 1e-13
+    samples = rng.standard_normal((n_sites, n_time_samples))
+    assert _relative_error(analyze(grid, samples).coeffs,
+                           fft_analyze(samples, n_harmonics)) <= 1e-13
+    # the sine part of a sample row is dropped, not folded into the cosines;
+    # the phase m*j is reduced mod N_t so that the samples are sines to round-off
+    phase = np.outer(np.arange(n_sites) % n_harmonics + 1, np.arange(n_time_samples))
+    sines = np.sin(2.0 * np.pi * (phase % n_time_samples) / n_time_samples)
+    assert np.max(np.abs(analyze(grid, sines).coeffs)) <= 1e-15
+
+
+def test_cosine_matrices_are_cached_per_harmonics_and_sample_count():
+    field = random_field(GRID, np.random.default_rng(5))
+    m = GRID.n_harmonics
+    for nt in (130, 2 * m + 2, 130):
+        assert _relative_error(synthesize(field, n_time_samples=nt),
+                               fft_synthesize(field.coeffs, nt)) <= 1e-13
+    synthesis, analysis = spectral_field._cosine_matrices(m, 130)
+    assert spectral_field._cosine_matrices(m, 130)[0] is synthesis
+    for matrix in (synthesis, analysis):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+    with pytest.raises(ValueError, match="Nyquist"):
+        synthesize(field, n_time_samples=2 * m)
+    with pytest.raises(ValueError, match="Nyquist"):
+        analyze(GRID, np.ones((GRID.n_sites, 2 * m)))
 
 
 @given(seeds)
