@@ -31,6 +31,10 @@ class PotentialSpec:
     cubic: float = 0.0
     quartic: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.cubic) and math.isfinite(self.quartic)):
+            raise ValueError("potential coefficients must be finite")
+
     @property
     def is_harmonic(self) -> bool:
         return self.cubic == 0.0 and self.quartic == 0.0

@@ -13,9 +13,10 @@ to the stored harmonics of W'(u).  ``apply_S`` and its derivative
 ``linearize_S`` take that fused route; ``apply_N`` and ``apply_M_inverse``
 stay separate as the reference route for S and for the strong residual.
 
-The two axes of S are transformed differently.  Time: synthesis and analysis
-of the cosine series are products with real matrices that ``spectral_field``
-caches per (M, N_t).  Sites: the symbol acts through a complex FFT pair.
+Each axis of S has one transform.  Time: synthesis and analysis of the
+cosine series are products with real matrices that ``spectral_field`` caches
+per (M, N_t).  Sites: every symbol here is real and even in k, so it acts on
+real coefficients through one real FFT pair, ``_site_filter``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .lattice_model import PotentialSpec, dispersion, eval_potential, force, stiffness
 from .spectral_field import GridSpec, SpectralField, analyze, synthesize, x0_norm, \
-    WeightSpec, dealiased_sample_count, harmonics_of, random_field
+    WeightSpec, dealiased_sample_count, random_field
 
 RESONANCE_FLOOR = 1e-9
 
@@ -53,16 +54,14 @@ def _wavenumbers(grid: GridSpec) -> np.ndarray:
     return 2.0 * np.pi * np.arange(grid.n_sites) / grid.n_sites
 
 
-def _check_invertible(grid: GridSpec, table: np.ndarray):
-    if grid.omega**2 <= 4.0:
-        raise ResonanceError(
-            f"omega^2 = {grid.omega**2:.6g} does not clear the phonon band edge 4")
-    if np.min(np.abs(table)) < RESONANCE_FLOOR:
-        raise ResonanceError("multiplier magnitude below resonance floor")
+def _site_filter(coeffs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Multiply each spatial Fourier mode of real coefficients by a real
+    symbol even in k, given at the N/2+1 frequencies k_0..k_{N/2} of the real FFT."""
+    return np.fft.irfft(np.fft.rfft(coeffs, axis=0) * symbol, n=coeffs.shape[0], axis=0)
 
 
 def _symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(nu, sigma) in site-major (N, M) layout, resonance-checked.
+    """(nu, sigma) at the real-FFT site frequencies, (N/2+1, M), resonance-checked.
 
     Built once per GridSpec instance and kept on it; GridSpec is frozen, so
     the pair goes into the instance dict directly.  Equal grids built
@@ -71,9 +70,14 @@ def _symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     cached = grid.__dict__.get("_symbols")
     if cached is None:
-        nu = np.ascontiguousarray(Multiplier.build(grid).table.T)
-        _check_invertible(grid, nu)
-        sigma = -dispersion(_wavenumbers(grid))[:, None] / nu
+        if grid.omega**2 <= 4.0:
+            raise ResonanceError(
+                f"omega^2 = {grid.omega**2:.6g} does not clear the phonon band edge 4")
+        rows = grid.n_sites // 2 + 1
+        nu = np.ascontiguousarray(Multiplier.build(grid).table.T[:rows])
+        if np.min(np.abs(nu)) < RESONANCE_FLOOR:
+            raise ResonanceError("multiplier magnitude below resonance floor")
+        sigma = -dispersion(_wavenumbers(grid)[:rows])[:, None] / nu
         cached = grid.__dict__["_symbols"] = (nu, sigma)
     return cached
 
@@ -87,17 +91,15 @@ def apply_M(field: SpectralField) -> SpectralField:
 
 
 def apply_M_via_multiplier(field: SpectralField) -> SpectralField:
-    """Multiplier route: spatial FFT, multiply by nu_m(k), inverse FFT."""
-    mult = Multiplier.build(field.grid)
-    spectral = np.fft.fft(field.coeffs, axis=0)
-    return field.with_coeffs(np.fft.ifft(spectral * mult.table.T, axis=0).real)
+    """Multiplier route: the site filter by nu_m(k), defined inside the band too."""
+    table = Multiplier.build(field.grid).table.T[:field.grid.n_sites // 2 + 1]
+    return field.with_coeffs(_site_filter(field.coeffs, table))
 
 
 def apply_M_inverse(field: SpectralField) -> SpectralField:
     """Invert M by spectral division; requires Om^2 > 4 (non-resonance)."""
     nu, _ = _symbols(field.grid)
-    spectral = np.fft.fft(field.coeffs, axis=0)
-    return field.with_coeffs(np.fft.ifft(spectral / nu, axis=0).real)
+    return field.with_coeffs(_site_filter(field.coeffs, 1.0 / nu))
 
 
 def _collocation_count(field: SpectralField, spec: PotentialSpec) -> int:
@@ -123,12 +125,9 @@ def apply_N(field: SpectralField, spec: PotentialSpec) -> SpectralField:
 
 
 def _apply_symbol(field: SpectralField, samples: np.ndarray) -> SpectralField:
-    """M^{-1} of the second difference of collocation samples, via sigma.
-    sigma is real and even in k, so the site FFT pair returns a real array up
-    to round-off, whose imaginary part is dropped last."""
+    """M^{-1} of the second difference of collocation samples, via sigma."""
     _, sigma = _symbols(field.grid)
-    coeffs = harmonics_of(field.grid, samples)
-    return field.with_coeffs(np.fft.ifft(np.fft.fft(coeffs, axis=0) * sigma, axis=0).real)
+    return field.with_coeffs(_site_filter(analyze(field.grid, samples).coeffs, sigma))
 
 
 def apply_S(field: SpectralField, spec: PotentialSpec) -> SpectralField:

@@ -10,6 +10,7 @@ finishes with a matrix-free Newton iteration on F(x) = x - S(x).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -57,8 +58,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.tol_residual <= 0.0 or self.tol_zero <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.tol_residual < math.inf and 0.0 < self.tol_zero < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not all(math.isfinite(value) for value in self.seed if value is not None):
+            raise ValueError("seed amplitude and width must be finite")
         if self.accel_depth < 0:
             raise ValueError("accel_depth must be >= 0")
         if self.max_iter < 1:

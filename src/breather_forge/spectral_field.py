@@ -47,8 +47,8 @@ class GridSpec:
             raise ValueError("n_harmonics must be >= 1")
         if self.n_time_samples % 2 != 0 or self.n_time_samples < 2 * self.n_harmonics + 2:
             raise ValueError("n_time_samples must be even and > 2*n_harmonics")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
 
     @classmethod
     def with_dealiasing(cls, n_sites: int, n_harmonics: int, omega: float,
@@ -85,8 +85,8 @@ class WeightSpec:
     center: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("weight decay rate must be >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("weight decay rate must be finite and >= 0")
 
     @classmethod
     def for_parity(cls, lam: float, parity: str) -> "WeightSpec":
@@ -148,19 +148,14 @@ def synthesize(field: SpectralField, n_time_samples: int | None = None) -> np.nd
     return field.coeffs @ _cosine_matrices(grid.n_harmonics, nt)[0]
 
 
-def harmonics_of(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
-    """Real cosine coefficients of harmonics 1..M of samples over one period.
-    The time mean (m = 0), the sine parts and harmonics above M are discarded:
-    the discrete zero-average cosine coefficient integral."""
+def analyze(grid: GridSpec, samples: np.ndarray) -> SpectralField:
+    """The field of real cosine coefficients of harmonics 1..M of samples over
+    one period.  The time mean (m = 0), the sine parts and harmonics above M
+    are discarded: the discrete zero-average cosine coefficient integral."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.n_sites:
         raise ValueError("site count mismatch")
-    return samples @ _cosine_matrices(grid.n_harmonics, samples.shape[1])[1]
-
-
-def analyze(grid: GridSpec, samples: np.ndarray) -> SpectralField:
-    """Project samples onto the stored cosine harmonics."""
-    return SpectralField(grid, harmonics_of(grid, samples))
+    return SpectralField(grid, samples @ _cosine_matrices(grid.n_harmonics, samples.shape[1])[1])
 
 
 def _site_weights(n_sites: int, w: WeightSpec) -> np.ndarray:

@@ -60,6 +60,8 @@ def bounds_report(omega: float, weight: WeightSpec, potential: PotentialSpec,
     Ring membership is only decided under the strengthened non-resonance
     condition; otherwise r_crit >= r_max and the flag stays None.
     """
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
     kbar, alpha = growth_bound(potential)
     nonres0 = omega**2 > 4.0
     if kbar == 0.0:

@@ -78,6 +78,20 @@ def test_a_traced_solve_passes_through_each_solver_layer(installed):
     assert not expected - seen, f"no spans for {sorted(expected - seen)}"
 
 
+def test_every_S_evaluation_opens_an_analyze_span(installed):
+    # the fused symbol takes the harmonics of W'(u) through the traced analyze
+    tracer = installed[0]
+    tracer.begin_op()
+    solver.hybrid_solve(_small_config())
+    tracer.end_op()
+    names = [tracer.names[i] for i in tracer.name]
+    analyzed = {tracer.parent[i] for i, name in enumerate(names)
+                if name == "spectral_field.analyze"}
+    s_spans = [i for i, name in enumerate(names) if name == "operators.apply_S"]
+    assert s_spans
+    assert [i for i in s_spans if i not in analyzed] == []
+
+
 def test_solve_dispatch_opens_a_solve_span(installed):
     tracer = installed[0]
     tracer.begin_op()

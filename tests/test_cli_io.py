@@ -176,6 +176,30 @@ def test_bounds_command_mixed_potential_exit_code(capsys):
     assert rc == 3
 
 
+_FLAGSHIP_SOLVE = ["solve", "--omega", "2.2", "--quartic", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_FLAGSHIP_SOLVE, "--lambda", "nan"],
+    [*_FLAGSHIP_SOLVE, "--seed-amplitude", "nan"],
+    [*_FLAGSHIP_SOLVE, "--seed-amplitude", "inf"],
+    [*_FLAGSHIP_SOLVE, "--seed-width", "inf"],
+    [*_FLAGSHIP_SOLVE, "--tol-residual", "nan"],
+    [*_FLAGSHIP_SOLVE, "--quartic", "nan"],
+    [*_FLAGSHIP_SOLVE, "--quartic", "inf"],
+    [*_FLAGSHIP_SOLVE, "--omega", "inf"],
+    ["bounds", "--omega", "nan", "--quartic", "1"],
+], ids=" ".join)
+def test_non_finite_number_exits_one_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # solve's default --out is ./out
+    rc = run_command(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors_exit_one():
     assert run_command(["frobnicate"]) == 1
     assert run_command(["solve", "--omega"]) == 1

@@ -54,6 +54,15 @@ def test_stencil_and_multiplier_routes_agree(seed):
     assert err < 1e-12
 
 
+@pytest.mark.parametrize("omega", [1.5, 2.0])
+def test_multiplier_route_is_defined_inside_the_band(omega):
+    # M itself needs no non-resonance: only its inverse does
+    field = random_field(GridSpec(64, 16, 130, omega), np.random.default_rng(7))
+    a = apply_M(field)
+    b = apply_M_via_multiplier(field)
+    assert x0_norm(a.with_coeffs(a.coeffs - b.coeffs), FLAT) / x0_norm(a, FLAT) < 1e-12
+
+
 def test_apply_M_inverse_extremal_mode():
     # (m = 1, k = pi) divides by nu = -(9 - 4) = -5
     field = plane_wave_field(GRID, 32, 1)
