@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Run the 166-solve census and print one line per solve, then work totals.
+
+    PYTHONPATH=src python3 scripts/solve_census.py > census.txt
+
+The set:
+- 50 flagship seeds (Omega = 2.2, N = 64, M = 16, N_t = 130, quartic 1) from
+  random.Random(12), amplitude U(0.65, 0.95) then width U(0.9, 1.1), each
+  solved odd and even;
+- the 54-case grid of 'auto' seeds: quartic 0.5, 1, 2 x nine frequencies from
+  2.02 to 3.6 x both parities, on lattices sized by the tail rate kappa;
+- the 12-point continuation sweep 2.6 -> 2.05 on N = 96 from seed (0.87, 1.05).
+
+Each line holds the case, status, iterations and repr(x0_norm).  The totals
+count S evaluations and GMRES calls and matvecs, by wrapping the names the
+solver module looks up.  The output is deterministic, so two builds are
+compared with diff.
+"""
+
+import math
+import random
+import sys
+
+from scipy.sparse.linalg import LinearOperator
+
+from breather_forge import (GridSpec, PotentialSpec, SolverConfig, WeightSpec,
+                            continuation_sweep, hybrid_solve, solve, solver)
+
+COUNTS = {"s_evals": 0, "gmres_calls": 0, "matvecs": 0}
+
+
+def _counting(fn, key):
+    def wrapper(*args, **kwargs):
+        COUNTS[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _counting_gmres(gmres):
+    def wrapper(A, b, *args, **kwargs):
+        COUNTS["gmres_calls"] += 1
+        op = LinearOperator(A.shape, matvec=_counting(A.matvec, "matvecs"), dtype=A.dtype)
+        return gmres(op, b, *args, **kwargs)
+    return wrapper
+
+
+def _config(grid: GridSpec, quartic: float, parity: str, seed) -> SolverConfig:
+    return SolverConfig(grid=grid, weight=WeightSpec.for_parity(0.0, parity),
+                        potential=PotentialSpec(quartic=quartic), parity=parity, seed=seed)
+
+
+def _line(label: str, result) -> str:
+    return f"{label} {result.status} {result.iterations} {result.x0_norm!r}"
+
+
+def census():
+    """Yield one line per solve of the set."""
+    rng = random.Random(12)
+    for index in range(50):
+        seed = (rng.uniform(0.65, 0.95), rng.uniform(0.9, 1.1))
+        for parity in ("odd", "even"):
+            result = hybrid_solve(_config(GridSpec(64, 16, 130, 2.2), 1.0, parity, seed))
+            yield _line(f"flagship {index:02d} {parity}", result)
+    for quartic in (0.5, 1.0, 2.0):
+        for omega in (2.02, 2.05, 2.1, 2.2, 2.35, 2.5, 2.8, 3.2, 3.6):
+            kappa = math.acosh((omega**2 - 2.0) / 2.0)
+            n_sites = max(64, 2 * math.ceil(math.log(1e10) / kappa + 4))
+            for parity in ("odd", "even"):
+                grid = GridSpec.with_dealiasing(n_sites, 16, omega)
+                result = solve(_config(grid, quartic, parity, (None, 1.0)))
+                yield _line(f"grid {quartic} {omega} N={n_sites} {parity}", result)
+    config = _config(GridSpec.with_dealiasing(96, 16, 2.6), 1.0, "odd", (0.87, 1.05))
+    for result in continuation_sweep(config, 2.6, 2.05, 12):
+        yield _line(f"sweep {result.omega!r}", result)
+
+
+def main() -> int:
+    solver.apply_S = _counting(solver.apply_S, "s_evals")
+    solver.gmres = _counting_gmres(solver.gmres)
+    solves = iterations = 0
+    for line in census():
+        print(line)
+        solves += 1
+        iterations += int(line.split()[-2])
+    print(f"total: {solves} solves, {iterations} iterations, {COUNTS['s_evals']} S "
+          f"evaluations, {COUNTS['gmres_calls']} GMRES calls, {COUNTS['matvecs']} matvecs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

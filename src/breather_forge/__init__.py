@@ -17,10 +17,9 @@ from .spectral_field import (GridSpec, SpectralField, WeightOverflowError,
                              weighted_profile_norm, weights, x0_norm, x2_norm,
                              zero_field)
 from .validation import (BlowUpError, BoundsReport, InsufficientTailError,
-                         NormComparison, TrajectoryReport, boundary_floor,
-                         bounds_report, classical_residual, decay_rate_fit,
-                         fit_decay_profile, initial_conditions,
-                         integrate_trajectory, norm_comparison,
+                         TrajectoryReport, boundary_floor, bounds_report,
+                         classical_residual, decay_rate_fit, fit_decay_profile,
+                         initial_conditions, integrate_trajectory,
                          strong_residual)
 
 __version__ = "0.1.0"

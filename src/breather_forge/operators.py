@@ -13,15 +13,15 @@ to the stored harmonics of W'(u).  ``apply_S`` and its derivative
 ``linearize_S`` take that fused route; ``apply_N`` and ``apply_M_inverse``
 stay separate as the reference route for S and for the strong residual.
 
-Each axis of S has one transform.  Time: synthesis and analysis of the
-cosine series are products with real matrices that ``spectral_field`` caches
-per (M, N_t).  Sites: every symbol here is real and even in k, so it acts on
-real coefficients through one real FFT pair, ``_site_filter``.
+Each axis of S has one transform, and reads the stored m from ``GridSpec``, so one
+path serves full and half-wave grids.  Time: products with real cosine matrices
+that ``spectral_field`` caches per (M, N_t, fold).  Sites: every symbol here is
+real and even in k, so it acts through one real FFT pair, ``_site_filter``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class ResonanceError(ValueError):
 
 @dataclass(frozen=True)
 class Multiplier:
-    """Eigenvalue table nu[m-1, j] = -Om^2 m^2 + 4 sin^2(k_j / 2), k_j = 2 pi j / N."""
+    """Eigenvalue table nu[i, j] = -Om^2 m_i^2 + 4 sin^2(k_j / 2), m_i the i-th stored m."""
 
     omega: float
     table: np.ndarray
@@ -61,7 +61,7 @@ def _site_filter(coeffs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 
 
 def _symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(nu, sigma) at the real-FFT site frequencies, (N/2+1, M), resonance-checked.
+    """(nu, sigma) at the real-FFT site frequencies, per stored m, resonance-checked.
 
     Built once per GridSpec instance and kept on it; GridSpec is frozen, so
     the pair goes into the instance dict directly.  Equal grids built
@@ -164,7 +164,7 @@ def probe_operator_norm(omega: float, grid: GridSpec, trials: int,
     Returns (max probed ratio, 1/(omega^2 - 4)).  The supremum is attained
     on the (m = 1, k = pi) mode; random probes stay at or below it.
     """
-    grid = GridSpec(grid.n_sites, grid.n_harmonics, grid.n_time_samples, omega)
+    grid = replace(grid, omega=omega)
     if omega**2 <= 4.0:
         raise ResonanceError("operator norm probe needs omega^2 > 4")
     rng = np.random.default_rng(seed)

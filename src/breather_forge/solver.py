@@ -5,7 +5,8 @@ the radial direction at a nontrivial fixed point is expanding (S scales like
 amplitude**(alpha+1)), so plain damped iteration cannot settle on a breather
 by itself.  The hybrid strategy therefore runs damped Picard with optional
 Anderson-type residual acceleration to lock in the profile shape, then
-finishes with a matrix-free Newton iteration on F(x) = x - S(x).
+finishes with a matrix-free Newton iteration on F(x) = x - S(x).  Every
+strategy iterates on its config's half-wave grid (``_working_config``).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class BreatherResult:
 
 
 def _as_field(grid: GridSpec, vec: np.ndarray) -> SpectralField:
-    return SpectralField(grid, vec.reshape(grid.n_sites, grid.n_harmonics))
+    return SpectralField(grid, vec.reshape(grid.shape))
 
 
 def build_seed(config: SolverConfig) -> SpectralField:
@@ -125,7 +126,7 @@ class _Outcome:
 
 
 def _finalize(config: SolverConfig, out: _Outcome, trace: list) -> BreatherResult:
-    fld = out.field
+    fld = _interpolate(out.field, config.grid)  # m the solve did not store are 0.0
     norm0 = x0_norm(fld, config.weight)
     bounds = (validation.bounds_report(config.grid.omega, config.weight, config.potential, norm0)
               if config.potential.has_growth_pair else None)
@@ -296,14 +297,21 @@ def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
     return _Outcome(None, x_field, fp_res)
 
 
-def _check_supported(config: SolverConfig) -> None:
-    """Raise UnsupportedPotentialError on a nonzero cubic coefficient; every
-    strategy calls this before its first iteration."""
+def _working_config(config: SolverConfig) -> SolverConfig:
+    """The config on its half-wave grid; raises UnsupportedPotentialError on a cubic
+    force, before any iteration.  With W' odd, S maps the class u(t + T/2) = -u(t)
+    into itself (Flach & Gorbach, Phys. Rep. 467 (2008), section 2)."""
     if config.potential.cubic != 0.0:
         raise UnsupportedPotentialError(
             f"potential.cubic = {config.potential.cubic!r} is not supported: both parity "
             "classes map u to -u and project the cubic force out, and the m=0 (DC strain) "
             "mode it drives is not represented; solve with potential.cubic = 0")
+    return replace(config, grid=replace(config.grid, half_wave=True))
+
+
+def _start(config: SolverConfig, initial: SpectralField | None) -> SpectralField:
+    """The first iterate: ``initial`` on the working grid (even m dropped), or the seed."""
+    return build_seed(config) if initial is None else _interpolate(initial, config.grid)
 
 
 def picard_solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
@@ -313,20 +321,18 @@ def picard_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
     nontrivial by construction (collapse to the zero fixed point is reported
     separately).
     """
-    _check_supported(config)
+    work = _working_config(config)
     trace: list[tuple[int, float, float]] = []
-    start = initial if initial is not None else build_seed(config)
-    return _finalize(config, _picard_phase(config, start, config.max_iter, trace,
-                                           stall_window=config.max_iter), trace)
+    return _finalize(config, _picard_phase(work, _start(work, initial), config.max_iter,
+                                           trace, stall_window=config.max_iter), trace)
 
 
 def newton_solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
     """Matrix-free Newton iteration on F(x) = x - S(x) from ``initial``."""
-    _check_supported(config)
+    work = _working_config(config)
     trace: list[tuple[int, float, float]] = []
-    start = initial if initial is not None else build_seed(config)
-    return _finalize(config, _newton_phase(config, start, min(config.max_iter, 60), trace),
-                     trace)
+    return _finalize(config, _newton_phase(work, _start(work, initial),
+                                           min(config.max_iter, 60), trace), trace)
 
 
 def _radial_rescale(config: SolverConfig, fld: SpectralField) -> SpectralField:
@@ -355,11 +361,10 @@ def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
     a fraction of the iteration budget; Newton then starts from the best
     iterate seen, radially rebalanced onto its own fixed-point ray.
     """
-    _check_supported(config)
+    work = _working_config(config)
     trace: list[tuple[int, float, float]] = []
-    start = initial if initial is not None else build_seed(config)
     picard_budget = min(config.max_iter, max(10, min(100, config.max_iter // 2)))
-    out = _picard_phase(config, start, picard_budget, trace,
+    out = _picard_phase(work, _start(work, initial), picard_budget, trace,
                         handover_residual=PICARD_TO_NEWTON_RESIDUAL)
     # Picard sliding into the zero basin or running away does not end a
     # hybrid solve: Newton is attempted from the best iterate whenever that
@@ -369,7 +374,7 @@ def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
     outer = min(60, config.max_iter - len(trace))
     if (out.status != STATUS_CONVERGED and out.best_residual < 1.0 and outer > 0
             and x0_norm(out.best_field, config.weight) > config.tol_zero):
-        out = _newton_phase(config, _radial_rescale(config, out.best_field), outer, trace)
+        out = _newton_phase(work, _radial_rescale(work, out.best_field), outer, trace)
     return _finalize(config, out, trace)
 
 
@@ -383,18 +388,21 @@ def solve(config: SolverConfig, initial: SpectralField | None = None) -> Breathe
 
 
 def _interpolate(field: SpectralField, grid: GridSpec) -> SpectralField:
-    """Embed a field into a finer grid: zero-pad sites outward and harmonics up."""
+    """The field on a grid of at least as many sites: sites zero-padded outward, each m
+    both grids store copied, the grid's other m 0.0, and m it does not store dropped."""
     pad = (grid.n_sites - field.grid.n_sites) // 2  # both counts are even
-    return SpectralField(grid, np.pad(field.coeffs, (
-        (pad, pad), (0, grid.n_harmonics - field.grid.n_harmonics))))
+    _, old, new = np.intersect1d(field.grid.harmonics, grid.harmonics, return_indices=True)
+    coeffs = np.zeros(grid.shape)
+    coeffs[pad:grid.n_sites - pad, new] = field.coeffs[:, old]
+    return SpectralField(grid, coeffs)
 
 
 def refine(result: BreatherResult, factor: int) -> BreatherResult:
     """Re-solve on a grid with ``factor`` times the sites and harmonics.
 
     The X0-norm change against the input is recorded on the returned result
-    as a discretisation-error estimate.  The re-solve starts from the
-    zero-padded field, so a well-resolved input converges in a step or two.
+    as a discretisation-error estimate.  The re-solve starts from the input
+    zero-padded, so a well-resolved input converges in a step or two.
     """
     if result.status != STATUS_CONVERGED:
         raise ValueError("refine needs a converged result")
@@ -407,7 +415,7 @@ def refine(result: BreatherResult, factor: int) -> BreatherResult:
     grid = GridSpec(old_grid.n_sites * factor, n_harm, n_t, old_grid.omega)
     config = SolverConfig(grid=grid, weight=result.weight, potential=result.potential,
                           parity=result.parity, strategy="newton")
-    refined = newton_solve(config, _interpolate(result.field, grid))
+    refined = newton_solve(config, result.field)
     refined.refinement_change = abs(refined.x0_norm - result.x0_norm)
     return refined
 
@@ -430,7 +438,7 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
     for omega in omegas:
         cfg = config.with_omega(float(omega))
         try:
-            res = solve(cfg, None if carry is None else _interpolate(carry, cfg.grid))
+            res = solve(cfg, carry)
         except ResonanceError:
             results.append(_resonance_placeholder(cfg))
             continue
@@ -438,9 +446,9 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
             # no ResonanceError: the midpoint lies above a frequency that cleared
             # the band check, and min |nu| = Omega^2 - 4 grows with Omega
             mid_cfg = config.with_omega(0.5 * (last_good_omega + float(omega)))
-            mid = solve(mid_cfg, _interpolate(carry, mid_cfg.grid))
+            mid = solve(mid_cfg, carry)
             if mid.status == STATUS_CONVERGED:
-                res = solve(cfg, _interpolate(mid.field, cfg.grid))
+                res = solve(cfg, mid.field)
         results.append(res)
         if res.status == STATUS_CONVERGED:
             carry, last_good_omega = res.field, float(omega)

@@ -2,8 +2,8 @@
 
 A field u_n(t) is T-periodic, time-reversal symmetric (u(t) = u(-t)) and of
 zero time mean per site, so it is a cosine series: it is stored as real
-coefficients a[i, j] for harmonics m = j+1 in 1..M, with
-u_n(t) = 2 sum_m a[n, m] cos(m Om t).
+coefficients a[i, j] of the j-th harmonic m in ``GridSpec.harmonics`` (1..M, or
+the odd m <= M), with u_n(t) = 2 sum_m a[n, m] cos(m Om t).
 Storage row i corresponds to physical site n = i - N/2, i.e. the lattice
 circle is laid out left to right with the origin at the centre.
 The parity class (names, reflection centre, projector) is defined here only.
@@ -33,12 +33,14 @@ def dealiased_sample_count(n_harmonics: int, wprime_degree: int) -> int:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretisation: N lattice sites, M harmonics, N_t samples per period."""
+    """Discretisation: N lattice sites, harmonics up to M, N_t samples per period.
+    A half-wave grid stores only odd m: the class u(t + T/2) = -u(t)."""
 
     n_sites: int
     n_harmonics: int
     n_time_samples: int
     omega: float
+    half_wave: bool = False
 
     def __post_init__(self):
         if self.n_sites < 8 or self.n_sites % 2 != 0:
@@ -68,8 +70,19 @@ class GridSpec:
         return np.arange(self.n_sites) - self.n_sites // 2
 
     @property
+    def fold(self) -> int:
+        """Stride of the stored harmonics, and 1 / the part of a period sampled: 2 on a
+        half-wave grid, whose second half period is the first with its sign flipped."""
+        return 2 if self.half_wave else 1
+
+    @property
     def harmonics(self) -> np.ndarray:
-        return np.arange(1, self.n_harmonics + 1)
+        return np.arange(1, self.n_harmonics + 1, self.fold)
+
+    @functools.cached_property
+    def shape(self) -> tuple[int, int]:
+        """(sites, stored harmonics), the shape of a field's coefficients."""
+        return self.n_sites, (self.n_harmonics + self.fold - 1) // self.fold
 
 
 @dataclass(frozen=True)
@@ -95,8 +108,8 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Cosine field: coeffs[i, j] is the real m = j+1 coefficient at site i.
-    A complex array is refused, never cast, so no sine part is dropped."""
+    """Cosine field: coeffs[i, j] is the real coefficient of the j-th stored m at
+    site i.  A complex array is refused, never cast, so no sine part is dropped."""
 
     grid: GridSpec
     coeffs: np.ndarray
@@ -104,7 +117,7 @@ class SpectralField:
     def __post_init__(self):
         if np.iscomplexobj(self.coeffs):
             raise ValueError("coefficients must be real: a field is a cosine series")
-        expected = (self.grid.n_sites, self.grid.n_harmonics)
+        expected = self.grid.shape
         if np.shape(self.coeffs) != expected:
             raise ValueError(f"coefficient array must have shape {expected}")
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
@@ -114,59 +127,64 @@ class SpectralField:
 
 
 def zero_field(grid: GridSpec) -> SpectralField:
-    return SpectralField(grid, np.zeros((grid.n_sites, grid.n_harmonics)))
+    return SpectralField(grid, np.zeros(grid.shape))
 
 
 def random_field(grid: GridSpec, rng: np.random.Generator) -> SpectralField:
     """Gaussian coefficients, useful as probe input for operator tests."""
-    return SpectralField(grid, rng.standard_normal((grid.n_sites, grid.n_harmonics)))
+    return SpectralField(grid, rng.standard_normal(grid.shape))
 
 
 @functools.lru_cache(maxsize=32)
-def _cosine_matrices(n_harmonics: int, n_time_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (synthesis, analysis) pair of the cosine series on N_t samples.
+def _cosine_matrices(n_harmonics: int, n_time_samples: int, fold: int = 1):
+    """Read-only (synthesis, analysis) pair of the cosine series on the first n = N_t/fold
+    of N_t samples per period, for m = 1, 1 + fold, ... <= M (see ``GridSpec.fold``).
 
-    synthesis[m-1, j] = 2 cos(m 2 pi j / N_t) and analysis = synthesis.T / (2 N_t),
-    so ``coeffs @ synthesis`` samples the series and ``samples @ analysis`` is the
-    discrete cosine coefficient integral.  The phase index m*j is reduced mod N_t
-    first, so every entry is a cosine of an angle in [0, 2 pi).
+    synthesis[i, j] = 2 cos(m_i 2 pi j / N_t) and analysis = synthesis.T / (2 n), so
+    ``coeffs @ synthesis`` samples the series and ``samples @ analysis`` is the discrete
+    cosine coefficient integral.  The phase index m*j is reduced mod N_t first.
     """
     if n_time_samples < 2 * n_harmonics + 2:
         raise ValueError("sample count under the Nyquist bound for this field")
-    m = np.arange(1, n_harmonics + 1)
-    phase = 2.0 * np.pi * (np.outer(m, np.arange(n_time_samples)) % n_time_samples)
+    m = np.arange(1, n_harmonics + 1, fold)
+    taken = n_time_samples // fold
+    phase = 2.0 * np.pi * (np.outer(m, np.arange(taken)) % n_time_samples)
     synthesis = 2.0 * np.cos(phase / n_time_samples)
-    analysis = np.ascontiguousarray(synthesis.T) / (2.0 * n_time_samples)
+    analysis = np.ascontiguousarray(synthesis.T) / (2.0 * taken)
     synthesis.flags.writeable = analysis.flags.writeable = False
     return synthesis, analysis
 
 
 def synthesize(field: SpectralField, n_time_samples: int | None = None) -> np.ndarray:
-    """Samples u[i, j] at t_j = j*T/N_t of the cosine series."""
+    """Samples u[i, j] at t_j = j*T/N_t, j < N_t/fold, of the cosine series."""
     grid = field.grid
     nt = grid.n_time_samples if n_time_samples is None else n_time_samples
-    return field.coeffs @ _cosine_matrices(grid.n_harmonics, nt)[0]
+    return field.coeffs @ _cosine_matrices(grid.n_harmonics, nt, grid.fold)[0]
 
 
 def analyze(grid: GridSpec, samples: np.ndarray) -> SpectralField:
-    """The field of real cosine coefficients of harmonics 1..M of samples over
-    one period.  The time mean (m = 0), the sine parts and harmonics above M
-    are discarded: the discrete zero-average cosine coefficient integral."""
+    """The field of real cosine coefficients of the grid's harmonics of samples taken
+    as ``synthesize`` takes them, which on a half-wave grid must be of the class.  The
+    mean, sine parts and other m are discarded: the discrete cosine integral."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.n_sites:
         raise ValueError("site count mismatch")
-    return SpectralField(grid, samples @ _cosine_matrices(grid.n_harmonics, samples.shape[1])[1])
+    analysis = _cosine_matrices(grid.n_harmonics, samples.shape[1] * grid.fold, grid.fold)[1]
+    return SpectralField(grid, samples @ analysis)
 
 
+@functools.lru_cache(maxsize=32)
 def _site_weights(n_sites: int, w: WeightSpec) -> np.ndarray:
-    """exp(lam*|n - center|) at sites n = -N/2 .. N/2-1; guards against overflow."""
+    """Read-only exp(lam*|n - center|) at sites n = -N/2 .. N/2-1; guards overflow."""
     if w.lam * (n_sites / 2) > 700.0:
         raise WeightOverflowError("weight overflow: lam * N/2 exceeds 700")
-    return np.exp(w.lam * np.abs(np.arange(n_sites) - n_sites // 2 - w.center))
+    wn = np.exp(w.lam * np.abs(np.arange(n_sites) - n_sites // 2 - w.center))
+    wn.flags.writeable = False
+    return wn
 
 
 def weights(grid: GridSpec, w: WeightSpec) -> np.ndarray:
-    """Per-site weights exp(lam*|n - center|) of the grid's sites."""
+    """Per-site weights exp(lam*|n - center|) of the grid's sites, read-only and cached."""
     return _site_weights(grid.n_sites, w)
 
 
@@ -213,10 +231,10 @@ def project_odd(field: SpectralField) -> SpectralField:
     The half-period shift multiplies harmonic m by (-1)^m, so fixed points
     satisfy c_{n,m} = -(-1)^m c_{-n,m}; the projector averages accordingly.
     """
-    n = field.grid.n_sites
-    flip = field.coeffs[(n - np.arange(n)) % n, :]
+    c = field.coeffs
+    flip = np.concatenate((c[:1], c[:0:-1]))  # row of n -> row of -n
     sgn = (-1.0) ** field.grid.harmonics
-    return field.with_coeffs(0.5 * (field.coeffs - sgn[None, :] * flip))
+    return field.with_coeffs(0.5 * (c - sgn[None, :] * flip))
 
 
 PARITIES = ("even", "odd")
@@ -250,13 +268,13 @@ def seed_field(grid: GridSpec, parity: str, amplitude: float, width: float) -> S
     profile = amplitude / np.cosh(width * (grid.sites - center))
     if parity == "even":
         profile = profile * np.sign(grid.sites - center)
-    coeffs = np.zeros((grid.n_sites, grid.n_harmonics))
+    coeffs = np.zeros(grid.shape)
     coeffs[:, 0] = profile / 2.0
     return parity_projector(parity)(SpectralField(grid, coeffs))
 
 
 def time_means(field: SpectralField) -> np.ndarray:
-    """Per-site means of the synthesized samples; zero up to round-off."""
+    """Per-site means of a full grid's synthesized samples; zero up to round-off."""
     return synthesize(field).mean(axis=1)
 
 

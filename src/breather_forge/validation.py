@@ -62,6 +62,8 @@ def bounds_report(omega: float, weight: WeightSpec, potential: PotentialSpec,
     """
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
+    if not math.isfinite(x0_norm_value):
+        raise ValueError("x0_norm must be finite")
     kbar, alpha = growth_bound(potential)
     nonres0 = omega**2 > 4.0
     if kbar == 0.0:
@@ -237,32 +239,3 @@ def integrate_trajectory(x0_field: SpectralField, spec: PotentialSpec,
             z = np.concatenate([x, y])
             return_error = float(np.linalg.norm(z - z0)) / (z0_norm if z0_norm > 0.0 else 1.0)
     return TrajectoryReport(energy_drift, momentum_drift, return_error, periods, dt)
-
-
-@dataclass(frozen=True)
-class NormComparison:
-    even_norm: float
-    odd_norm: float
-    difference: float
-    odd_below_even: bool
-
-
-def norm_comparison(even_result, odd_result) -> NormComparison:
-    """Report the weighted norms of paired even/odd solutions.
-
-    The ordering odd < even is recorded as a diagnostic, never asserted;
-    both inputs must be converged solves at the same frequency, decay rate
-    and potential.
-    """
-    for r in (even_result, odd_result):
-        if r.status != "converged":
-            raise ValueError(f"norm comparison needs converged results, got {r.status!r}")
-    if even_result.omega != odd_result.omega:
-        raise ValueError("frequency mismatch between the paired solves")
-    if even_result.weight.lam != odd_result.weight.lam:
-        raise ValueError("weight decay mismatch between the paired solves")
-    if even_result.potential != odd_result.potential:
-        raise ValueError("potential mismatch between the paired solves")
-    diff = even_result.x0_norm - odd_result.x0_norm
-    return NormComparison(even_result.x0_norm, odd_result.x0_norm,
-                          diff, odd_result.x0_norm < even_result.x0_norm)

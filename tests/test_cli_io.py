@@ -189,6 +189,8 @@ _FLAGSHIP_SOLVE = ["solve", "--omega", "2.2", "--quartic", "1"]
     [*_FLAGSHIP_SOLVE, "--quartic", "inf"],
     [*_FLAGSHIP_SOLVE, "--omega", "inf"],
     ["bounds", "--omega", "nan", "--quartic", "1"],
+    ["bounds", "--omega", "4", "--quartic", "1", "--x0-norm", "nan"],
+    ["bounds", "--omega", "4", "--quartic", "1", "--x0-norm", "inf"],
 ], ids=" ".join)
 def test_non_finite_number_exits_one_before_any_work(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # solve's default --out is ./out

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from breather_forge import (GridSpec, Multiplier, PotentialSpec,
-                            ResonanceError, WeightSpec, apply_M,
+                            ResonanceError, SpectralField, WeightSpec, apply_M,
                             apply_M_inverse, apply_M_via_multiplier, apply_N,
                             apply_S, linearize_S, probe_operator_norm,
                             project_even, project_odd, random_field,
@@ -252,3 +253,21 @@ def test_symbol_built_once_per_grid_instance(monkeypatch):
     # an equal grid built separately does not share the first one's tables
     apply_S(random_field(GridSpec(32, 8, 66, 2.5), np.random.default_rng(3)), QUARTIC)
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("grid", [GridSpec.with_dealiasing(32, 8, 2.2), GridSpec(32, 8, 18, 2.2),
+                                  GridSpec(32, 8, 130, 2.2)], ids=["dealiased", "18", "130"])
+@pytest.mark.parametrize("parity, project", [("even", project_even), ("odd", project_odd)])
+def test_half_wave_grid_gives_the_odd_columns_of_the_full_grid(grid, parity, project):
+    rng = np.random.default_rng(16)
+    half = replace(grid, half_wave=True)
+    u_full, w_full = (project(random_field(grid, rng)) for _ in range(2))
+    for fld in (u_full, w_full):
+        fld.coeffs[:, 1::2] = 0.0  # the half-wave class
+    u_half, w_half = (SpectralField(half, fld.coeffs[:, ::2]) for fld in (u_full, w_full))
+    for full, on_half in ((apply_S(u_full, QUARTIC), apply_S(u_half, QUARTIC)),
+                          (linearize_S(u_full, QUARTIC)(w_full),
+                           linearize_S(u_half, QUARTIC)(w_half))):
+        odd = SpectralField(half, full.coeffs[:, ::2])
+        assert on_half.grid == half
+        assert _rel_x0(on_half, odd) <= 1e-14

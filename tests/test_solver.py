@@ -8,7 +8,8 @@ from scipy.sparse.linalg import LinearOperator
 from breather_forge import (GridSpec, PotentialSpec, ResonanceError,
                             SolverConfig, UnsupportedPotentialError, WeightSpec,
                             continuation_sweep, hybrid_solve, newton_solve,
-                            apply_S, picard_solve, refine, solve, synthesize,
+                            apply_S, picard_solve, project_odd, random_field,
+                            refine, solve, synthesize,
                             time_means, x0_norm, zero_field)
 from breather_forge import solver as solver_module
 from breather_forge.solver import _picard_phase, build_seed
@@ -355,3 +356,24 @@ def test_refine_rejects_unconverged():
     res = picard_solve(cfg)
     with pytest.raises(ValueError):
         refine(res, 2)
+
+
+def test_solved_field_is_on_the_config_grid_with_even_harmonics_zero(flagship_result,
+                                                                     flagship_even_result):
+    for result in (flagship_result, flagship_even_result):
+        assert result.field.grid == flagship_config(result.parity).grid
+        assert np.all(result.field.coeffs[:, 1::2] == 0.0)
+        assert np.any(result.field.coeffs[:, ::2] != 0.0)
+
+
+@pytest.mark.parametrize("entry", [picard_solve, newton_solve, hybrid_solve],
+                         ids=["picard", "newton", "hybrid"])
+def test_initial_field_is_projected_onto_the_half_wave_class(entry, flagship_result):
+    cfg = replace(flagship_config("odd"), max_iter=3)
+    noise = project_odd(random_field(cfg.grid, np.random.default_rng(7))).coeffs
+    noisy = flagship_result.field.coeffs.copy()
+    noisy[:, 1::2] = noise[:, 1::2]  # even harmonics the odd parity projector keeps
+    clean, projected = (entry(cfg, flagship_result.field.with_coeffs(c))
+                        for c in (flagship_result.field.coeffs, noisy))
+    assert projected.trace == clean.trace
+    assert np.array_equal(projected.field.coeffs, clean.field.coeffs)

@@ -10,7 +10,7 @@ from breather_forge import (BlowUpError, GridSpec, InsufficientTailError,
                             bounds_report, eval_potential,
                             classical_residual, decay_rate_fit,
                             fit_decay_profile, initial_conditions,
-                            integrate_trajectory, norm_comparison,
+                            integrate_trajectory,
                             strong_residual, synthesize,
                             weighted_profile_norm, x0_norm, zero_field,
                             max_amplitude_profile)
@@ -230,26 +230,3 @@ def test_trajectory_blow_up_detected():
 def test_boundary_floor(flagship_result):
     assert boundary_floor(flagship_result.field) <= 1e-10
     assert boundary_floor(zero_field(GridSpec(32, 8, 66, 2.5))) == 0.0
-
-
-def test_norm_comparison_report(flagship_result, flagship_even_result):
-    report = norm_comparison(flagship_even_result, flagship_result)
-    assert math.isfinite(report.even_norm) and math.isfinite(report.odd_norm)
-    assert report.difference == report.even_norm - report.odd_norm
-    print(f"weighted-norm ordering: odd {report.odd_norm:.6f} vs even "
-          f"{report.even_norm:.6f} (odd_below_even = {report.odd_below_even})")
-
-
-def test_norm_comparison_identical_inputs(flagship_result):
-    report = norm_comparison(flagship_result, flagship_result)
-    assert report.difference == 0.0
-
-
-def test_norm_comparison_refuses_bad_inputs(flagship_result):
-    from dataclasses import replace
-    broken = replace(flagship_result, status="diverged")
-    with pytest.raises(ValueError, match="converged"):
-        norm_comparison(flagship_result, broken)
-    other = replace(flagship_result, omega=2.5)
-    with pytest.raises(ValueError, match="frequency"):
-        norm_comparison(other, flagship_result)
