@@ -1,9 +1,8 @@
 """breather_forge: spectral fixed-point computation and verification of
 exponentially localised, time-periodic lattice breathers."""
 
-from .lattice_model import (MixedPotentialError, PhysicalState, PotentialSpec,
-                            dispersion, eval_potential, from_relative,
-                            growth_bound, hamiltonian, momentum, to_relative)
+from .lattice_model import (MixedPotentialError, PotentialSpec, dispersion,
+                            eval_potential, growth_bound)
 from .operators import (Multiplier, ResonanceError, apply_M, apply_M_inverse,
                         apply_M_via_multiplier, apply_N, apply_S, linearize_S,
                         probe_operator_norm)
@@ -18,8 +17,7 @@ from .spectral_field import (GridSpec, SpectralField, WeightOverflowError,
                              zero_field)
 from .validation import (BlowUpError, BoundsReport, InsufficientTailError,
                          TrajectoryReport, boundary_floor, bounds_report,
-                         classical_residual, decay_rate_fit, fit_decay_profile,
-                         initial_conditions, integrate_trajectory,
-                         strong_residual)
+                         decay_rate_fit, fit_decay_profile, initial_conditions,
+                         integrate_trajectory, lattice_energy, strong_residual)
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Interaction potential family, phonon dispersion, and variable transforms.
+"""Interaction potential family and phonon dispersion.
 
 The lattice is a chain of unit-mass particles with nearest-neighbour
 interaction potential
@@ -40,14 +40,9 @@ class PotentialSpec:
         return self.cubic == 0.0 and self.quartic == 0.0
 
     @property
-    def is_pure(self) -> bool:
-        """True when at most one anharmonic coefficient is nonzero."""
-        return self.cubic == 0.0 or self.quartic == 0.0
-
-    @property
     def has_growth_pair(self) -> bool:
         """Pure and anharmonic: ``growth_bound`` has a global pair with kbar > 0."""
-        return self.is_pure and not self.is_harmonic
+        return (self.cubic == 0.0 or self.quartic == 0.0) and not self.is_harmonic
 
     @property
     def wprime_degree(self) -> int:
@@ -90,20 +85,17 @@ def stiffness(spec: PotentialSpec, x):
     return x * (2.0 * spec.cubic + 3.0 * spec.quartic * x)
 
 
-def growth_bound(spec: PotentialSpec, cap: float | None = None,
-                 alpha: float | None = None) -> tuple[float, float]:
+def growth_bound(spec: PotentialSpec) -> tuple[float, float]:
     """Power-law envelope (kbar, alpha) with |W''(x)| <= kbar * |x|**alpha.
 
     For pure potentials the pair is exact and tight: kbar = 2|cubic| with
     alpha = 1, or kbar = 3|quartic| with alpha = 2.  A harmonic potential
-    returns (0, 0).  Mixed potentials have no global pair; the caller must
-    supply an amplitude ``cap`` and exponent ``alpha``, and receives the
-    local bound sup_{|x| <= cap} |W''(x)| / |x|**alpha from a dense grid.
+    returns (0, 0).
 
     Raises
     ------
     MixedPotentialError
-        If both coefficients are nonzero and no cap/alpha was provided.
+        If both coefficients are nonzero: no global pair exists.
     """
     if spec.is_harmonic:
         return 0.0, 0.0
@@ -111,16 +103,7 @@ def growth_bound(spec: PotentialSpec, cap: float | None = None,
         return 2.0 * abs(spec.cubic), 1.0
     if spec.cubic == 0.0:
         return 3.0 * abs(spec.quartic), 2.0
-    if cap is None or alpha is None:
-        raise MixedPotentialError(
-            "mixed cubic+quartic potential has no global growth pair; "
-            "supply an amplitude cap and exponent for a local bound")
-    if cap <= 0.0:
-        raise ValueError("amplitude cap must be positive")
-    x = np.linspace(-cap, cap, 20001)
-    x = x[x != 0.0]
-    wpp = np.abs(2.0 * spec.cubic * x + 3.0 * spec.quartic * x**2)
-    return float(np.max(wpp / np.abs(x) ** alpha)), float(alpha)
+    raise MixedPotentialError("mixed cubic+quartic potential has no global growth pair")
 
 
 def dispersion(k):
@@ -130,66 +113,3 @@ def dispersion(k):
     """
     return 4.0 * np.sin(np.asarray(k, dtype=float) / 2.0) ** 2 if not np.isscalar(k) \
         else 4.0 * math.sin(k / 2.0) ** 2
-
-
-@dataclass
-class PhysicalState:
-    """Displacements q, momenta p, and the net deformation carried by the strain."""
-
-    q: np.ndarray
-    p: np.ndarray
-    deformation: float = 0.0
-
-    @classmethod
-    def from_qp(cls, q, p) -> "PhysicalState":
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        # anchored chain: the site left of the edge is held at zero
-        return cls(q=q, p=p, deformation=float(q[-1]))
-
-
-def to_relative(state: PhysicalState, momentum_tol: float = 1e-12):
-    """Map (q, p) to relative variables (x, y).
-
-    x_n = q_n - q_{n-1} with the left edge anchored (q before the chain is 0),
-    and y accumulates -p from the left edge with y_0 = 0, the finite-chain
-    analogue of y vanishing far to the left.  Requires zero total momentum,
-    otherwise the right edge of y cannot close consistently.
-    """
-    q = np.asarray(state.q, dtype=float)
-    p = np.asarray(state.p, dtype=float)
-    total = momentum(p)
-    if abs(total) > momentum_tol * max(1.0, float(np.sum(np.abs(p)))):
-        raise ValueError(f"nonzero total momentum {total!r}; cannot anchor y")
-    x = np.empty_like(q)
-    x[0] = q[0]
-    x[1:] = np.diff(q)
-    y = np.zeros_like(p)
-    y[1:] = -np.cumsum(p)[:-1]
-    return x, y
-
-
-def from_relative(x, y) -> PhysicalState:
-    """Invert the relative-variable map: q = cumsum(x), p_n = y_n - y_{n+1}."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    q = np.cumsum(x)
-    p = y - np.append(y[1:], 0.0)
-    return PhysicalState(q=q, p=p, deformation=float(np.sum(x)))
-
-
-def energy_sum(p: np.ndarray, v: np.ndarray) -> float:
-    """Lattice energy sum_n p_n^2/2 + V(x_n) from momenta p and values V(x)."""
-    return float(np.sum(0.5 * p**2 + v))
-
-
-def hamiltonian(x, y, spec: PotentialSpec) -> float:
-    """Chain energy in relative variables, sum of (y_n - y_{n+1})^2/2 + V(x_n)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return energy_sum(y - np.append(y[1:], 0.0), eval_potential(spec, x).V)
-
-
-def momentum(p) -> float:
-    """Total momentum, the conserved sum of p_n."""
-    return float(np.sum(np.asarray(p, dtype=float)))

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice_model import PotentialSpec, energy_sum, eval_potential, force, growth_bound
+from .lattice_model import PotentialSpec, eval_potential, force, growth_bound
 from .operators import apply_M, apply_N
+# synthesize is unused here but stays: bench/tracing.py wraps validation.synthesize
 from .spectral_field import (SpectralField, WeightSpec, max_amplitude_profile,
                              parity_center, parity_projector, synthesize, x0_norm)
 
@@ -136,24 +137,6 @@ def strong_residual_limit(tol_residual: float, x2: float) -> float:
     return 10.0 * tol_residual * x2
 
 
-def classical_residual(field: SpectralField, spec: PotentialSpec) -> float:
-    """Pointwise check that the field solves the second-order lattice equation.
-
-    Reconstructs the second time derivative spectrally and compares it with
-    V'(u_{n+1}) + V'(u_{n-1}) - 2 V'(u_n) on the collocation grid; returns
-    the max deviation relative to the max acceleration.
-    """
-    grid = field.grid
-    accel_coeffs = -((grid.omega * grid.harmonics[None, :]) ** 2) * field.coeffs
-    accel = synthesize(field.with_coeffs(accel_coeffs))
-    vp = eval_potential(spec, synthesize(field)).Vp
-    rhs = np.roll(vp, -1, axis=0) + np.roll(vp, 1, axis=0) - 2.0 * vp
-    scale = float(np.max(np.abs(accel)))
-    if scale == 0.0:
-        return float(np.max(np.abs(rhs)))
-    return float(np.max(np.abs(accel - rhs))) / scale
-
-
 def boundary_floor(field: SpectralField) -> float:
     """Edge-to-peak amplitude ratio; the lattice must be long enough that
     this stays below 1e-10 for a trustworthy periodic truncation."""
@@ -168,8 +151,10 @@ def _periodic_momenta(y: np.ndarray) -> np.ndarray:
     return y - np.roll(y, -1)
 
 
-def _periodic_energy(x: np.ndarray, y: np.ndarray, spec: PotentialSpec) -> float:
-    return energy_sum(_periodic_momenta(y), eval_potential(spec, x).V)
+def lattice_energy(x: np.ndarray, y: np.ndarray, spec: PotentialSpec) -> float:
+    """Ring energy sum_n p_n^2/2 + V(x_n) with momenta p_n = y_n - y_{n+1}."""
+    p = _periodic_momenta(y)
+    return float(np.sum(0.5 * p**2 + eval_potential(spec, x).V))
 
 
 def initial_conditions(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +190,7 @@ def integrate_trajectory(x0_field: SpectralField, spec: PotentialSpec,
     x, y = initial_conditions(x0_field)
     dt = grid.period / steps_per_period
 
-    e0 = _periodic_energy(x, y, spec)
+    e0 = lattice_energy(x, y, spec)
     p0 = float(np.sum(_periodic_momenta(y)))
     z0 = np.concatenate([x, y])
     z0_norm = float(np.linalg.norm(z0))
@@ -231,7 +216,7 @@ def integrate_trajectory(x0_field: SpectralField, spec: PotentialSpec,
                 y -= half * vp
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise BlowUpError(f"non-finite state after {period + 1} periods")
-        e = _periodic_energy(x, y, spec)
+        e = lattice_energy(x, y, spec)
         scale = abs(e0) if e0 != 0.0 else 1.0
         energy_drift = max(energy_drift, abs(e - e0) / scale)
         momentum_drift = max(momentum_drift, abs(float(np.sum(_periodic_momenta(y))) - p0))

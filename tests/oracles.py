@@ -3,9 +3,11 @@
 Nothing here shares code with the solver paths it checks: the transform
 oracles take the cosine series through numpy's real FFT, the norm oracle
 integrates in the time domain, the dealiasing oracle evaluates the force by
-direct trigonometric summation on a heavily oversampled grid, and the
-periodic-orbit oracle is classical shooting (high-order ODE integration plus
-dense Newton on the half-period return map).
+direct trigonometric summation on a heavily oversampled grid, the
+classical residual samples the field through the FFT route, and the
+periodic-orbit oracle is classical shooting (high-order ODE integration of
+the orbit and its variational equation, dense Newton on the half-period
+return map).
 """
 
 import numpy as np
@@ -36,6 +38,11 @@ def x0_norm_time_quadrature(field: SpectralField, w: WeightSpec) -> float:
     return float(np.sqrt(np.sum(wn[:, None] * samples**2) / grid.n_time_samples))
 
 
+def second_difference(a: np.ndarray) -> np.ndarray:
+    """Periodic lattice second difference a_{n+1} + a_{n-1} - 2 a_n along axis 0."""
+    return np.roll(a, -1, axis=0) + np.roll(a, 1, axis=0) - 2.0 * a
+
+
 def apply_n_oversampled(field: SpectralField, spec, oversample: int = 4) -> SpectralField:
     """Direct-summation route for the nonlinear coupling on a denser grid."""
     grid = field.grid
@@ -43,27 +50,48 @@ def apply_n_oversampled(field: SpectralField, spec, oversample: int = 4) -> Spec
     t = grid.period * np.arange(nt) / nt
     phases = np.exp(1j * grid.omega * np.outer(grid.harmonics, t))
     u = 2.0 * np.real(field.coeffs @ phases)
-    wp = spec.cubic * u**2 + spec.quartic * u**3
-    stencil = np.roll(wp, -1, axis=0) + np.roll(wp, 1, axis=0) - 2.0 * wp
-    return analyze(grid, stencil)
+    return analyze(grid, second_difference(spec.cubic * u**2 + spec.quartic * u**3))
 
 
 def lattice_acceleration(x: np.ndarray, spec) -> np.ndarray:
     """Periodic second difference of V' for the relative-variable system."""
-    vp = x + spec.cubic * x**2 + spec.quartic * x**3
-    return np.roll(vp, -1) + np.roll(vp, 1) - 2.0 * vp
+    return second_difference(x + spec.cubic * x**2 + spec.quartic * x**3)
 
 
-def half_period_velocity(x0: np.ndarray, spec, t_half: float) -> np.ndarray:
-    """Velocity after half a period, starting from rest (time-reversible data)."""
+def classical_residual(field: SpectralField, spec) -> float:
+    """FFT route for the pointwise residual of the second-order lattice equation.
+
+    Compares the spectral second time derivative with the second difference
+    of V'(u) on the field's sample grid (harmonics 1..M stored); returns the
+    max deviation relative to the max acceleration.
+    """
+    grid = field.grid
+    m = np.arange(1, field.coeffs.shape[1] + 1)
+    accel = fft_synthesize(-(grid.omega * m) ** 2 * field.coeffs, grid.n_time_samples)
+    rhs = lattice_acceleration(fft_synthesize(field.coeffs, grid.n_time_samples), spec)
+    return float(np.max(np.abs(accel - rhs)) / np.max(np.abs(accel)))
+
+
+def half_period_flow(x0: np.ndarray, spec, t_half: float) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity after half a period from rest, and its Jacobian in x0.
+
+    The variational equation d2/dt2 dX = Delta(V''(x) dX), started from
+    dX = I at rest, rides along with the orbit in one integration, so
+    dV(T/2) is the Jacobian of v(T/2) with respect to x0.
+    """
     n = x0.size
 
     def rhs(_, z):
-        return np.concatenate([z[n:], lattice_acceleration(z[:n], spec)])
+        x, dx = z[:n], z[2 * n:2 * n + n * n].reshape(n, n)
+        vpp = 1.0 + 2.0 * spec.cubic * x + 3.0 * spec.quartic * x**2
+        return np.concatenate([z[n:2 * n], lattice_acceleration(x, spec),
+                               z[2 * n + n * n:],
+                               second_difference(vpp[:, None] * dx).ravel()])
 
-    sol = solve_ivp(rhs, (0.0, t_half), np.concatenate([x0, np.zeros(n)]),
-                    method="DOP853", rtol=1e-12, atol=1e-14)
-    return sol.y[n:, -1]
+    z0 = np.concatenate([x0, np.zeros(n), np.eye(n).ravel(), np.zeros(n * n)])
+    sol = solve_ivp(rhs, (0.0, t_half), z0, method="DOP853", rtol=1e-12, atol=1e-14)
+    z = sol.y[:, -1]
+    return z[n:2 * n], z[2 * n + n * n:].reshape(n, n)
 
 
 def staggered_guess(n_sites: int, amplitude: float, width: float) -> np.ndarray:
@@ -76,35 +104,33 @@ def shooting_orbit(spec, omega: float, n_sites: int, x0_guess: np.ndarray,
     """Newton shooting for a time-reversible T-periodic orbit.
 
     Starting from rest, a second rest point at T/2 closes the orbit, so the
-    residual is v(T/2; x0).  The Jacobian is built column by column from
-    central differences.  Uniform strain is a zero mode of the lattice
-    (constant profiles feel no force), so the zero-spatial-mean constraint
-    is appended to keep Newton off that solution family.
+    residual is v(T/2; x0), and ``half_period_flow`` gives it together with
+    its Jacobian.  Uniform strain is a zero mode of the lattice (constant
+    profiles feel no force), so the zero-spatial-mean constraint is
+    appended to keep Newton off that solution family.  The backtracking
+    line search halves the step down to 1/64; the flow at the accepted
+    point is the next Newton step's.
     """
     t_half = np.pi / omega
     n = n_sites
     x0 = x0_guess - np.mean(x0_guess)
     x0 = 0.5 * (x0 + x0[(n - np.arange(n)) % n])
     constraint = np.ones((1, n)) * n
+    g, jac = half_period_flow(x0, spec, t_half)
     for _ in range(max_iter):
-        g = half_period_velocity(x0, spec, t_half)
-        if np.max(np.abs(g)) <= tol:
+        g_norm = np.max(np.abs(g))
+        if g_norm <= tol:
             return x0
-        jac = np.empty((n, n))
-        h = 1e-7 * max(1.0, float(np.max(np.abs(x0))))
-        for j in range(n):
-            step = np.zeros(n)
-            step[j] = h
-            jac[:, j] = (half_period_velocity(x0 + step, spec, t_half)
-                         - half_period_velocity(x0 - step, spec, t_half)) / (2.0 * h)
         aug = np.vstack([jac, constraint])
         delta = np.linalg.lstsq(aug, np.concatenate([-g, [0.0]]), rcond=None)[0]
-        g_norm = np.max(np.abs(g))
         scale = 1.0
-        while scale > 1.0 / 64 and np.max(np.abs(
-                half_period_velocity(x0 + scale * delta, spec, t_half))) > g_norm:
+        while True:
+            trial = x0 + scale * delta
+            g, jac = half_period_flow(trial, spec, t_half)
+            if scale <= 1.0 / 64 or np.max(np.abs(g)) <= g_norm:
+                break
             scale *= 0.5
-        x0 = x0 + scale * delta
+        x0 = trial
     raise RuntimeError("shooting oracle did not converge")
 
 

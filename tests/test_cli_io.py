@@ -173,7 +173,12 @@ def test_bounds_command_prints_exact_values(capsys):
 
 def test_bounds_command_mixed_potential_exit_code(capsys):
     rc = run_command(["bounds", "--omega2", "12", "--cubic", "1", "--quartic", "1"])
+    out, err = capsys.readouterr()
     assert rc == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "no global growth pair" in err
+    assert "cap" not in err
 
 
 _FLAGSHIP_SOLVE = ["solve", "--omega", "2.2", "--quartic", "1"]

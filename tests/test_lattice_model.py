@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from breather_forge import (MixedPotentialError, PhysicalState, PotentialSpec,
-                            dispersion, eval_potential, from_relative,
-                            growth_bound, hamiltonian, momentum, to_relative)
+from breather_forge import (MixedPotentialError, PotentialSpec, dispersion,
+                            eval_potential, growth_bound)
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False)
@@ -65,16 +64,9 @@ def test_growth_bound_is_tight_envelope(spec):
     assert np.allclose(wpp, envelope, rtol=1e-12, atol=1e-300)
 
 
-def test_growth_bound_mixed_requires_cap():
+def test_growth_bound_mixed_has_no_global_pair():
     with pytest.raises(MixedPotentialError):
         growth_bound(PotentialSpec(cubic=1.0, quartic=1.0))
-
-
-def test_growth_bound_mixed_local():
-    # sup over |x| <= 0.5 of |2x + 3x^2| / |x| = |2 + 3x| peaks at x = 0.5
-    kbar, alpha = growth_bound(PotentialSpec(cubic=1.0, quartic=1.0), cap=0.5, alpha=1.0)
-    assert alpha == 1.0
-    assert kbar == pytest.approx(3.5, abs=1e-12)
 
 
 def test_dispersion_values():
@@ -87,88 +79,3 @@ def test_dispersion_values():
 def test_dispersion_even_and_bounded(k):
     assert dispersion(k) == dispersion(-k)
     assert 0.0 <= dispersion(k) <= 4.0
-
-
-def test_to_relative_simple_bump():
-    state = PhysicalState.from_qp([0.0, 1.0, 1.0, 0.0, 0.0, 0.0], np.zeros(6))
-    x, y = to_relative(state)
-    assert np.allclose(x, [0.0, 1.0, 0.0, -1.0, 0.0, 0.0])
-    assert np.allclose(y, 0.0)
-
-
-def test_momentum_from_y_pulse():
-    # a unit y at one site induces the +-1 momentum pair on its bonds
-    y = np.zeros(8)
-    y[4] = 1.0
-    state = from_relative(np.zeros(8), y)
-    assert state.p[3] == -1.0
-    assert state.p[4] == 1.0
-    assert np.all(state.p[[0, 1, 2, 5, 6, 7]] == 0.0)
-
-
-def test_from_relative_examples():
-    state = from_relative(np.zeros(6), np.zeros(6))
-    assert np.all(state.q == 0.0) and np.all(state.p == 0.0)
-    x = np.zeros(6)
-    x[0] = 1.0
-    state = from_relative(x, np.zeros(6))
-    assert np.all(state.q == 1.0)
-    assert state.deformation == 1.0
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_round_trip_and_momentum_relation(seed):
-    rng = np.random.default_rng(seed)
-    n = 24
-    q = rng.standard_normal(n)
-    p = rng.standard_normal(n)
-    p -= p.mean()  # zero total momentum
-    state = PhysicalState.from_qp(q, p)
-    x, y = to_relative(state)
-    # componentwise recomputation of the defining relation
-    assert np.allclose(p[:-1], y[:-1] - y[1:], atol=1e-14)
-    assert abs(p[-1] - y[-1]) <= 1e-13
-    back = from_relative(x, y)
-    assert np.allclose(back.q, q, atol=1e-13)
-    assert np.allclose(back.p, p, atol=1e-13)
-    # and the inverse pair in the other order
-    x2, y2 = to_relative(back)
-    assert np.allclose(x2, x, atol=1e-14)
-    assert np.allclose(y2, y, atol=1e-14)
-
-
-def test_to_relative_rejects_net_momentum():
-    state = PhysicalState.from_qp(np.zeros(6), np.ones(6))
-    with pytest.raises(ValueError, match="momentum"):
-        to_relative(state)
-
-
-def test_hamiltonian_trivial_cases():
-    spec = PotentialSpec()
-    assert hamiltonian(np.zeros(6), np.zeros(6), spec) == 0.0
-    x = np.zeros(6)
-    x[0] = 1.0
-    assert hamiltonian(x, np.zeros(6), spec) == 0.5
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_hamiltonian_matches_original_variables(seed):
-    rng = np.random.default_rng(seed)
-    spec = PotentialSpec(cubic=0.3, quartic=0.8)
-    x = 0.1 * rng.standard_normal(16)
-    y = 0.1 * rng.standard_normal(16)
-    state = from_relative(x, y)
-    # original-variable energy with the anchored left edge
-    q_prev = np.concatenate([[0.0], state.q[:-1]])
-    h_orig = np.sum(0.5 * state.p**2 + eval_potential(spec, state.q - q_prev).V)
-    assert hamiltonian(x, y, spec) == pytest.approx(h_orig, rel=1e-12, abs=1e-12)
-
-
-def test_momentum_against_fsum():
-    rng = np.random.default_rng(3)
-    p = rng.standard_normal(1000)
-    assert momentum(p) == pytest.approx(math.fsum(p), rel=0, abs=1e-10)
-    assert momentum(np.zeros(4)) == 0.0
-    assert momentum([1.0, -1.0]) == 0.0

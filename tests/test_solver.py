@@ -250,6 +250,25 @@ def test_auto_seed_solves_are_quartic_covariant(omega, parity):
     assert scaled == pytest.approx([scaled[1]] * 3, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("amplitude", [0.8, None], ids=["seeded", "auto"])
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_quartic_scaling_maps_the_whole_solve(parity, amplitude):
+    # the seed z / sqrt(beta) of the beta-chain is the beta = 1 seed z, so
+    # the iteration is the same one: equal status and iteration count
+    def run(quartic):
+        seed = None if amplitude is None else amplitude / math.sqrt(quartic)
+        return solve(replace(flagship_config(parity), potential=PotentialSpec(quartic=quartic),
+                             seed=(seed, 1.0)))
+
+    reference = run(1.0)
+    assert reference.status == "converged"
+    for quartic in (0.25, 4.0):
+        res = run(quartic)
+        assert (res.status, res.iterations) == (reference.status, reference.iterations)
+        assert res.x0_norm * math.sqrt(quartic) == pytest.approx(reference.x0_norm,
+                                                                  rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("max_iter", [1, 3, 12])
 @pytest.mark.parametrize("strategy", ["picard", "newton", "hybrid"])
 def test_trace_stays_within_max_iter(strategy, max_iter):

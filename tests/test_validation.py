@@ -7,15 +7,15 @@ import pytest
 from breather_forge import (BlowUpError, GridSpec, InsufficientTailError,
                             MixedPotentialError, PotentialSpec, SpectralField,
                             TrajectoryReport, WeightSpec, boundary_floor,
-                            bounds_report, eval_potential,
-                            classical_residual, decay_rate_fit,
+                            bounds_report, eval_potential, decay_rate_fit,
                             fit_decay_profile, initial_conditions,
-                            integrate_trajectory,
+                            integrate_trajectory, lattice_energy,
                             strong_residual, synthesize,
                             weighted_profile_norm, x0_norm, zero_field,
                             max_amplitude_profile)
 
 from conftest import QUARTIC
+from oracles import classical_residual
 
 
 def test_bounds_arithmetic_flagship_point():
@@ -123,6 +123,24 @@ def test_strong_residual_cases(flagship_result):
 
 def test_classical_residual_flagship(flagship_result):
     assert classical_residual(flagship_result.field, QUARTIC) <= 1e-8
+
+
+def test_lattice_energy_cases():
+    harmonic = PotentialSpec()
+    zero = np.zeros(8)
+    assert lattice_energy(zero, zero, QUARTIC) == 0.0
+    x = np.zeros(8)
+    x[3] = 1.0
+    assert lattice_energy(x, zero, harmonic) == 0.5
+    # a unit y at one site puts momenta -1 and +1 on its two neighbouring bonds
+    y = np.zeros(8)
+    y[4] = 1.0
+    assert lattice_energy(zero, y, harmonic) == 1.0
+    # momenta are differences of y, so a constant shift of y is a gauge
+    rng = np.random.default_rng(5)
+    x, y = 0.3 * rng.standard_normal(8), rng.standard_normal(8)
+    assert lattice_energy(x, y + 2.5, QUARTIC) == pytest.approx(
+        lattice_energy(x, y, QUARTIC), rel=1e-14)
 
 
 def test_initial_conditions_solve_velocity_relation(flagship_result):
