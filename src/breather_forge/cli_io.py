@@ -534,6 +534,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.omega2 is not None and not args.omega2 > 0.0:
+        raise ValueError("--omega2 must be positive")
     omega = math.sqrt(args.omega2) if args.omega2 is not None else args.omega
     if omega is None:
         print("bounds: supply --omega or --omega2", file=sys.stderr)

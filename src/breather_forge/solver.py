@@ -5,8 +5,10 @@ the radial direction at a nontrivial fixed point is expanding (S scales like
 amplitude**(alpha+1)), so plain damped iteration cannot settle on a breather
 by itself.  The hybrid strategy therefore runs damped Picard with optional
 Anderson-type residual acceleration to lock in the profile shape, then
-finishes with a matrix-free Newton iteration on F(x) = x - S(x).  Every
-strategy iterates on its config's half-wave grid (``_working_config``).
+finishes with a matrix-free Newton iteration on F(x) = x - S(x), whose
+linear systems the module's own restarted ``gmres`` solves with scipy's
+arithmetic.  Every strategy iterates on its config's half-wave grid
+(``_working_config``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import math
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg.lapack import dlartg
+from scipy.sparse.linalg import LinearOperator
 
 from . import validation
 from .lattice_model import PotentialSpec
@@ -26,6 +29,7 @@ from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec,
 from .validation import BoundsReport
 
 DIVERGENCE_NORM = 1e6
+_EPS = float(np.finfo(float).eps)
 PICARD_TO_NEWTON_RESIDUAL = 1e-4
 
 STATUS_CONVERGED = "converged"
@@ -244,6 +248,98 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
     return _Outcome(None, best_field, best_res, best_field, best_res)
 
 
+def _norm(v: np.ndarray) -> float:
+    """l2 norm as ``np.linalg.norm`` computes it for a real vector: sqrt(v . v)."""
+    return math.sqrt(v.dot(v))
+
+
+def gmres(A, b: np.ndarray, *, rtol: float, atol: float, restart: int,
+          maxiter: int) -> tuple[np.ndarray, int]:
+    """Restarted GMRES for A x = b from x0 = 0, without preconditioner, on real float64.
+
+    Step for step the arithmetic of scipy 1.17's ``scipy.sparse.linalg.gmres`` in
+    that case, so both return the same bits: modified Gram-Schmidt by ``np.dot``,
+    LAPACK ``dlartg`` Givens rotations, back substitution on the rotated Hessenberg
+    matrix, a true-residual check at each restart and scipy's inner tolerance
+    control.  ``A`` is anything with a ``matvec``; info is 0 on convergence to
+    ``max(atol, rtol ||b||)``, else ``maxiter``.
+    """
+    matvec = A.matvec
+    n = len(b)
+    bnrm2 = _norm(b)
+    atol = max(float(atol), float(rtol) * bnrm2)
+    if bnrm2 == 0:
+        return b.copy(), 0
+    x = np.zeros(n)
+    if bnrm2 < atol:
+        return x, 0
+    restart = min(restart, n)
+    ptol_max_factor = 1.0
+    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
+    v = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))  # h[col] holds Hessenberg column col
+    r = b
+    for _ in range(maxiter):
+        v[0] = r
+        tmp = _norm(v[0])
+        v[0] *= 1 / tmp
+        s_rhs = [0.0] * (restart + 1)  # right-hand side of the Hessenberg problem
+        s_rhs[0] = tmp
+        givens = []  # (c, s) of each column's rotation
+        breakdown = False
+        for col in range(restart):
+            w = matvec(v[col])
+            h0 = _norm(w)
+            column = [0.0] * (col + 2)
+            for k in range(col + 1):
+                tmp = np.dot(v[k], w)
+                column[k] = tmp
+                w -= tmp * v[k]
+            h1 = _norm(w)
+            column[col + 1] = h1
+            v[col + 1] = w
+            if h1 <= _EPS * h0:  # exact solution in the Krylov space
+                column[col + 1] = 0.0
+                breakdown = True
+            else:
+                v[col + 1] *= 1 / h1
+            for k, (c, s) in enumerate(givens):
+                n0, n1 = column[k], column[k + 1]
+                column[k] = c * n0 + s * n1
+                column[k + 1] = -s * n0 + c * n1
+            c, s, column[col] = dlartg(column[col], column[col + 1])
+            column[col + 1] = 0.0
+            givens.append((c, s))
+            h[col, :col + 2] = column
+            tmp = -s * s_rhs[col]
+            s_rhs[col] = c * s_rhs[col]
+            s_rhs[col + 1] = tmp
+            presid = abs(tmp)
+            if presid <= ptol or breakdown:
+                break
+        if h[col, col] == 0:
+            s_rhs[col] = 0.0
+        y = np.array(s_rhs[:col + 1])
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                tmp = y[k]
+                y[:k] -= tmp * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1]
+        r = b - matvec(x)
+        rnorm = _norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(_EPS, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else maxiter
+
+
 def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
                   trace: list) -> _Outcome:
     """Matrix-free Newton on F(x) = x - P S(x), P the parity projector.
@@ -253,7 +349,8 @@ def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
     step at the iterate's samples u, so a matvec costs about half an S
     evaluation and carries no differencing error.  Each linear solve runs
     to a loose 1e-3 relative tolerance, which is enough for
-    quadratic-looking outer convergence in practice.
+    quadratic-looking outer convergence in practice.  The solve is the
+    module-level ``gmres``, looked up at each call, on a ``LinearOperator``.
     """
     project = parity_projector(config.parity)
     grid = config.grid

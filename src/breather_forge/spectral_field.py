@@ -115,12 +115,15 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.coeffs):
-            raise ValueError("coefficients must be real: a field is a cosine series")
-        expected = self.grid.shape
-        if np.shape(self.coeffs) != expected:
-            raise ValueError(f"coefficient array must have shape {expected}")
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+        c = self.coeffs
+        if type(c) is not np.ndarray or c.dtype != np.float64:
+            # anything but the float64 arrays the operators build is checked, then cast
+            if np.iscomplexobj(c):
+                raise ValueError("coefficients must be real: a field is a cosine series")
+            c = np.asarray(c, dtype=float)
+            object.__setattr__(self, "coeffs", c)
+        if c.shape != self.grid.shape:
+            raise ValueError(f"coefficient array must have shape {self.grid.shape}")
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, coeffs)
@@ -197,22 +200,39 @@ def weighted_profile_norm(profile: np.ndarray, w: WeightSpec) -> float:
     return float(np.sqrt(np.sum(_site_weights(profile.size, w) * profile**2)))
 
 
+@functools.lru_cache(maxsize=32)
+def _x0_weights(n_sites: int, w: WeightSpec) -> np.ndarray:
+    """Read-only 2 w_n, the Parseval factor of ``x0_norm`` times the site weights."""
+    wn2 = _site_weights(n_sites, w) * 2.0
+    wn2.flags.writeable = False
+    return wn2
+
+
+@functools.lru_cache(maxsize=32)
+def _x2_weights(grid: GridSpec, w: WeightSpec) -> np.ndarray:
+    """Read-only 2 w_n (1 + (Om m)^2 + (Om m)^4) per site and stored m, for ``x2_norm``."""
+    om2 = (grid.omega * grid.harmonics) ** 2
+    fac = 1.0 + om2 + om2**2
+    table = _site_weights(grid.n_sites, w)[:, None] * 2.0 * fac[None, :]
+    table.flags.writeable = False
+    return table
+
+
 def x0_norm(field: SpectralField, w: WeightSpec) -> float:
     """Time-averaged weighted l2 norm, computed spectrally.
 
     Parseval in time turns (1/T) * integral of ||u(t)||_w^2 into
     sum_n w_n * 2 * sum_m a_nm^2.
     """
-    wn = weights(field.grid, w)
-    return float(np.sqrt(np.sum(wn * 2.0 * np.sum(field.coeffs**2, axis=1))))
+    c = field.coeffs
+    return math.sqrt(np.add.reduce(_x0_weights(field.grid.n_sites, w)
+                                   * np.add.reduce(c * c, axis=1)))
 
 
 def x2_norm(field: SpectralField, w: WeightSpec) -> float:
     """As x0_norm but with two time derivatives: factor 1 + (Om*m)^2 + (Om*m)^4."""
-    wn = weights(field.grid, w)
-    om2 = (field.grid.omega * field.grid.harmonics) ** 2
-    fac = 1.0 + om2 + om2**2
-    return float(np.sqrt(np.sum(wn[:, None] * 2.0 * fac[None, :] * field.coeffs**2)))
+    c = field.coeffs
+    return math.sqrt(np.add.reduce(_x2_weights(field.grid, w) * (c * c), axis=None))
 
 
 def project_even(field: SpectralField) -> SpectralField:
@@ -233,8 +253,16 @@ def project_odd(field: SpectralField) -> SpectralField:
     """
     c = field.coeffs
     flip = np.concatenate((c[:1], c[:0:-1]))  # row of n -> row of -n
-    sgn = (-1.0) ** field.grid.harmonics
-    return field.with_coeffs(0.5 * (c - sgn[None, :] * flip))
+    grid = field.grid
+    return field.with_coeffs(0.5 * (c - _odd_signs(grid.n_harmonics, grid.fold) * flip))
+
+
+@functools.lru_cache(maxsize=32)
+def _odd_signs(n_harmonics: int, fold: int) -> np.ndarray:
+    """Read-only (-1)^m of the stored harmonics m = 1, 1 + fold, ... <= M."""
+    sgn = (-1.0) ** np.arange(1, n_harmonics + 1, fold)
+    sgn.flags.writeable = False
+    return sgn
 
 
 PARITIES = ("even", "odd")

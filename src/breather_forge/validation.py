@@ -61,8 +61,8 @@ def bounds_report(omega: float, weight: WeightSpec, potential: PotentialSpec,
     Ring membership is only decided under the strengthened non-resonance
     condition; otherwise r_crit >= r_max and the flag stays None.
     """
-    if not math.isfinite(omega):
-        raise ValueError("omega must be finite")
+    if not 0.0 < omega < math.inf:
+        raise ValueError("omega must be positive and finite")
     if not math.isfinite(x0_norm_value):
         raise ValueError("x0_norm must be finite")
     kbar, alpha = growth_bound(potential)
@@ -187,8 +187,13 @@ def integrate_trajectory(x0_field: SpectralField, spec: PotentialSpec,
     """
     check_integration_args(periods, steps_per_period)
     grid = x0_field.grid
-    x, y = initial_conditions(x0_field)
+    x, y0 = initial_conditions(x0_field)
     dt = grid.period / steps_per_period
+    n = grid.n_sites
+    # y lives in ybuf[1:n+1]; ghost cells ybuf[0] = y[n-1] and ybuf[n+1] = y[0]
+    ybuf = np.zeros(n + 2)
+    y = ybuf[1:n + 1]
+    y[:] = y0
 
     e0 = lattice_energy(x, y, spec)
     p0 = float(np.sum(_periodic_momenta(y)))
@@ -198,22 +203,29 @@ def integrate_trajectory(x0_field: SpectralField, spec: PotentialSpec,
     energy_drift = 0.0
     momentum_drift = 0.0
     return_error = 0.0
-    half = 0.5 * dt
-    vp = x + force(spec, x)
+    right, left = ybuf[2:], ybuf[:n]  # y_{n+1} and y_{n-1}
+    xdot = np.empty(n)
+    # 0-d arrays, not floats: numpy converts a Python float operand on every call
+    two, step, half = np.array(2.0), np.array(dt), np.array(0.5 * dt)
+    kick = x + force(spec, x)
+    kick *= half  # the half-kick dt/2 V'(x), with V'(x) = x + W'(x)
     for period in range(periods):
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(steps_per_period):
-                y -= half * vp
+                y -= kick
+                ybuf[0] = ybuf[n]
+                ybuf[n + 1] = ybuf[1]
                 # x' = 2 y_n - y_{n+1} - y_{n-1} on the ring, summed in that order
-                xdot = 2.0 * y
-                xdot[:-1] -= y[1:]
-                xdot[-1] -= y[0]
-                xdot[1:] -= y[:-1]
-                xdot[0] -= y[-1]
-                x += dt * xdot
-                # the closing half-kick's force opens the next step
-                vp = x + force(spec, x)
-                y -= half * vp
+                np.multiply(y, two, out=xdot)
+                xdot -= right
+                xdot -= left
+                xdot *= step
+                x += xdot
+                # the closing half-kick's force opens the next step: the same kick
+                # is subtracted twice, never once doubled, which would round apart
+                np.add(x, force(spec, x), out=kick)
+                kick *= half
+                y -= kick
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise BlowUpError(f"non-finite state after {period + 1} periods")
         e = lattice_energy(x, y, spec)

@@ -207,6 +207,23 @@ def test_non_finite_number_exits_one_before_any_work(argv, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--omega", "-2.2", "--quartic", "1"],
+    ["bounds", "--omega", "0", "--quartic", "1"],
+    ["bounds", "--omega2", "-1", "--quartic", "1"],
+    ["bounds", "--omega2", "0", "--quartic", "1"],
+], ids=" ".join)
+def test_bounds_refuses_frequencies_solve_refuses(argv, capsys):
+    rc = run_command(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert "omega" in captured.err and "math domain" not in captured.err
+    assert captured.out == ""
+    if "--omega2" in argv:
+        assert "--omega2" in captured.err
+
+
 def test_usage_errors_exit_one():
     assert run_command(["frobnicate"]) == 1
     assert run_command(["solve", "--omega"]) == 1

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import gmres as scipy_gmres
 
 from breather_forge import (GridSpec, PotentialSpec, ResonanceError,
                             SolverConfig, UnsupportedPotentialError, WeightSpec,
@@ -172,6 +173,57 @@ def test_odd_flagship_work_counts(monkeypatch):
     assert result.status == "converged"
     assert (result.iterations, counts["apply_S"], counts["matvec"], counts["gmres"]) == \
         (15, 17, 22, 5)
+
+
+def _assert_gmres_matches_scipy(A, b, **kwargs):
+    x, info = solver_module.gmres(A, b, **kwargs)
+    x_ref, info_ref = scipy_gmres(A, b, **kwargs)
+    assert np.array_equal(x, x_ref) and info == info_ref
+    return info
+
+
+def test_gmres_matches_scipy_on_the_flagship_newton_systems(monkeypatch):
+    systems = []
+    real_gmres = solver_module.gmres
+
+    def capturing(A, b, **kwargs):
+        systems.append((A, b.copy(), kwargs))
+        return real_gmres(A, b, **kwargs)
+
+    monkeypatch.setattr(solver_module, "gmres", capturing)
+    assert hybrid_solve(flagship_config("odd")).status == "converged"
+    monkeypatch.undo()
+    assert len(systems) == 5
+    for A, b, kwargs in systems:
+        _assert_gmres_matches_scipy(A, b, **kwargs)
+
+
+def _well_conditioned(n, rng):
+    return np.eye(n) + 0.3 * rng.standard_normal((n, n)) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("case", ["random_512", "zero_rhs", "breakdown", "restarts",
+                                  "maxiter"])
+def test_gmres_matches_scipy(case):
+    rng = np.random.default_rng(18)
+    n = 512 if case == "random_512" else 40
+    b = rng.standard_normal(n)
+    A = _well_conditioned(n, rng)
+    kwargs = dict(rtol=1e-10, atol=0.0, restart=60, maxiter=3)
+    if case == "zero_rhs":
+        b = np.zeros(n)
+    elif case == "breakdown":
+        A = np.eye(n)
+    elif case == "restarts":
+        kwargs.update(restart=4, maxiter=50)
+    elif case == "maxiter":
+        kwargs.update(rtol=1e-14, restart=2, maxiter=2)
+    matvecs = []
+    op = LinearOperator(A.shape, matvec=lambda v: matvecs.append(1) or A @ v, dtype=float)
+    info = _assert_gmres_matches_scipy(op, b, **kwargs)
+    assert info == (2 if case == "maxiter" else 0)
+    if case == "restarts":
+        assert len(matvecs) > 2 * (kwargs["restart"] + 1)  # each run, several cycles
 
 
 def test_newton_from_zero_collapses():

@@ -47,6 +47,22 @@ def test_field_refuses_complex_coefficients():
     assert SpectralField(GRID, coeffs.real).coeffs.dtype == np.float64
 
 
+def test_field_casts_real_input_to_float64():
+    ints = [[1] * GRID.n_harmonics for _ in range(GRID.n_sites)]
+    assert SpectralField(GRID, ints).coeffs.dtype == np.float64
+    single = np.ones(GRID.shape, dtype=np.float32)
+    field = SpectralField(GRID, single)
+    assert field.coeffs.dtype == np.float64 and np.all(field.coeffs == 1.0)
+
+
+@pytest.mark.parametrize("coeffs", [np.zeros((64, 15)), np.zeros(64 * 16),
+                                    np.zeros((64, 15), dtype=np.float32), [[0.0] * 16]],
+                         ids=["float64", "flat", "float32", "list"])
+def test_field_refuses_wrong_shape(coeffs):
+    with pytest.raises(ValueError, match="shape"):
+        SpectralField(GRID, coeffs)
+
+
 def test_synthesize_single_mode_is_cosine():
     field = single_mode_field(GRID, 0, 1, 0.5)
     samples = synthesize(field)
@@ -201,6 +217,28 @@ def test_project_odd_center_site_signs():
     assert odd_mode.coeffs[half, 0] == 1.0  # odd harmonic survives at the centre
     even_mode = project_odd(single_mode_field(GRID, 0, 2, 1.0))
     assert even_mode.coeffs[half, 1] == 0.0  # even harmonics vanish there
+
+
+HALF_WAVE_GRID = GridSpec(64, 16, 130, 3.0, half_wave=True)
+
+
+@pytest.mark.parametrize("grid", [GRID, HALF_WAVE_GRID], ids=["full", "half_wave"])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_norms_and_projectors_equal_their_plain_formulas(grid, lam, parity):
+    # the cached tables reorder no operation: results are equal, not close
+    c = np.random.default_rng(7).standard_normal(grid.shape)
+    field = SpectralField(grid, c)
+    w = WeightSpec.for_parity(lam, parity)
+    wn = weights(grid, w)
+    assert x0_norm(field, w) == float(np.sqrt(np.sum(wn * 2.0 * np.sum(c**2, axis=1))))
+    om2 = (grid.omega * grid.harmonics) ** 2
+    fac = 1.0 + om2 + om2**2
+    assert x2_norm(field, w) == float(np.sqrt(np.sum(wn[:, None] * 2.0 * fac[None, :] * c**2)))
+    sgn = (-1.0) ** grid.harmonics
+    flip = np.concatenate((c[:1], c[:0:-1]))
+    assert np.array_equal(project_odd(field).coeffs, 0.5 * (c - sgn[None, :] * flip))
+    assert np.array_equal(project_even(field).coeffs, 0.5 * (c - c[::-1, :]))
 
 
 @given(seeds)

@@ -218,12 +218,15 @@ def _textbook_verlet(field, spec, periods, steps_per_period) -> TrajectoryReport
     return TrajectoryReport(energy_drift, momentum_drift, return_error, periods, dt)
 
 
-def test_integrator_matches_textbook_verlet(flagship_result):
-    # one force evaluation per step and slice updates change no arithmetic
-    fast = integrate_trajectory(flagship_result.field, QUARTIC, 2, 128)
-    slow = _textbook_verlet(flagship_result.field, QUARTIC, 2, 128)
+@pytest.mark.parametrize("periods, steps", [(2, 128), (3, 256)])
+@pytest.mark.parametrize("result", ["flagship_result", "flagship_even_result"])
+def test_integrator_matches_textbook_verlet(result, periods, steps, request):
+    # one force evaluation per step and in-place slice updates change no arithmetic
+    field = request.getfixturevalue(result).field
+    fast = integrate_trajectory(field, QUARTIC, periods, steps)
+    slow = _textbook_verlet(field, QUARTIC, periods, steps)
     for name, value in dataclasses.asdict(slow).items():
-        assert getattr(fast, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
+        assert getattr(fast, name) == value, name
 
 
 def test_long_run_drifts_stay_bounded(flagship_result):
