@@ -11,10 +11,11 @@ The set:
   2.02 to 3.6 x both parities, on lattices sized by the tail rate kappa;
 - the 12-point continuation sweep 2.6 -> 2.05 on N = 96 from seed (0.87, 1.05).
 
-Each line holds the case, status, iterations and repr(x0_norm).  The totals
-count S evaluations and GMRES calls and matvecs, by wrapping the names the
-solver module looks up.  The output is deterministic, so two builds are
-compared with diff.
+Each line holds the case, status, iterations and repr(x0_norm).  Then one
+line of iteration totals per group (flagship odd, flagship even, grid,
+sweep) and the totals, which count converged solves, S evaluations and GMRES
+calls and matvecs, by wrapping the names the solver module looks up.  The
+output is deterministic, so two builds are compared with diff.
 """
 
 import math
@@ -74,15 +75,26 @@ def census():
         yield _line(f"sweep {result.omega!r}", result)
 
 
+def _group(line: str) -> str:
+    words = line.split()
+    return f"flagship {words[2]}" if words[0] == "flagship" else words[0]
+
+
 def main() -> int:
     solver.apply_S = _counting(solver.apply_S, "s_evals")
     solver.gmres = _counting_gmres(solver.gmres)
-    solves = iterations = 0
+    solves = converged = 0
+    group_iterations: dict[str, int] = {}
     for line in census():
         print(line)
         solves += 1
-        iterations += int(line.split()[-2])
-    print(f"total: {solves} solves, {iterations} iterations, {COUNTS['s_evals']} S "
+        converged += line.split()[-3] == "converged"
+        group = _group(line)
+        group_iterations[group] = group_iterations.get(group, 0) + int(line.split()[-2])
+    for group, iterations in group_iterations.items():
+        print(f"iterations {group}: {iterations}")
+    print(f"total: {solves} solves, {converged} converged, "
+          f"{sum(group_iterations.values())} iterations, {COUNTS['s_evals']} S "
           f"evaluations, {COUNTS['gmres_calls']} GMRES calls, {COUNTS['matvecs']} matvecs")
     return 0
 

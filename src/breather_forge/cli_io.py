@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -563,7 +564,9 @@ def _add_config_flags(parser):
                                 choices=row.choices, help=row.help)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="breather-forge",
         description="Spectral fixed-point solver and verifier for lattice breathers")

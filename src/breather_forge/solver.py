@@ -31,6 +31,9 @@ from .validation import BoundsReport
 DIVERGENCE_NORM = 1e6
 _EPS = float(np.finfo(float).eps)
 PICARD_TO_NEWTON_RESIDUAL = 1e-4
+# S(cx) = c**3 S(x) for the quartic force, so an iterate at half the norm of
+# Picard's best one is pulled further inward: a hybrid solve hands over there.
+PICARD_COLLAPSE_FRACTION = 0.5
 
 STATUS_CONVERGED = "converged"
 STATUS_COLLAPSED = "collapsed_to_zero"
@@ -119,7 +122,8 @@ class _Outcome:
 
     A None status means the phase stopped at a handover point, a stall or its
     budget; a solve that ends there reports ``max_iter``.  ``best_field`` is
-    Picard's lowest-residual iterate, which a hybrid solve hands to Newton.
+    Picard's lowest-residual iterate, which a hybrid solve hands to Newton,
+    and ``best_norm`` its X0 norm.
     """
 
     status: str | None
@@ -127,6 +131,7 @@ class _Outcome:
     fp_residual: float
     best_field: SpectralField | None = None
     best_residual: float = float("inf")
+    best_norm: float = 0.0
 
 
 def _finalize(config: SolverConfig, out: _Outcome, trace: list) -> BreatherResult:
@@ -188,20 +193,19 @@ def _evaluate(config: SolverConfig, fld: SpectralField, trace: list,
     return (STATUS_CONVERGED if converged else None), res_field, fp_res
 
 
-def _anderson_step(x_hist: list, f_hist: list, theta: float) -> np.ndarray:
+def _anderson_step(x_k: np.ndarray, f_k: np.ndarray, dx: np.ndarray, df: np.ndarray,
+                   theta: float) -> np.ndarray:
     """Damped Anderson mixing over the residual history.
 
-    With an empty difference history this reduces to the damped Picard
-    update x + theta * f; otherwise the least-squares combination of past
-    residual differences is removed first (regularised normal equations keep
-    the step deterministic).
+    ``dx`` and ``df`` hold the iterate and residual differences as columns,
+    oldest first.  With no columns this reduces to the damped Picard update
+    x + theta * f; otherwise the least-squares combination of past residual
+    differences is removed first (regularised normal equations keep the step
+    deterministic).
     """
-    x_k, f_k = x_hist[-1], f_hist[-1]
-    depth = len(x_hist) - 1
+    depth = dx.shape[1]
     if depth == 0:
         return x_k + theta * f_k
-    dx = np.stack([x_hist[i + 1] - x_hist[i] for i in range(depth)], axis=1)
-    df = np.stack([f_hist[i + 1] - f_hist[i] for i in range(depth)], axis=1)
     a = df.T @ df
     reg = 1e-12 * max(np.trace(a) / depth, 1e-30)
     gamma = np.linalg.solve(a + reg * np.eye(depth), df.T @ f_k)
@@ -215,37 +219,53 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
 
     A None status means a handover point was reached (residual below the
     handover threshold, stall, or budget); the best iterate seen is carried
-    along so a hybrid caller can pass it to Newton.
+    along so a hybrid caller can pass it to Newton.  With a handover
+    threshold the phase also stops at radial collapse: the first row after
+    the best iterate whose X0 norm is below ``PICARD_COLLAPSE_FRACTION`` of
+    the best one's.
     """
     project = parity_projector(config.parity)
     x_field = project(start)
-    x_hist: list[np.ndarray] = []
-    f_hist: list[np.ndarray] = []
-    best_field, best_res = x_field, float("inf")
+    n, depth = x_field.coeffs.size, config.accel_depth
+    dx, df = np.empty((n, depth)), np.empty((n, depth))  # difference columns, oldest first
+    used = 0
+    x_prev = f_prev = None
+    best_field, best_res, best_norm = x_field, float("inf"), 0.0
     since_best = 0
     for _ in range(budget):
         status, res_field, fp_res = _evaluate(config, x_field, trace)
+        norm = trace[-1][2]
         if fp_res < best_res:
-            best_field, best_res, since_best = x_field, fp_res, 0
+            best_field, best_res, best_norm, since_best = x_field, fp_res, norm, 0
         else:
             since_best += 1
         if (status is not None or since_best >= stall_window
-                or (handover_residual is not None and fp_res <= handover_residual)):
-            return _Outcome(status, x_field, fp_res, best_field, best_res)
-        x_vec = x_field.coeffs.ravel()
-        x_hist.append(x_vec)
-        f_hist.append(res_field.coeffs.ravel())
-        if len(x_hist) > config.accel_depth + 1:
-            x_hist.pop(0)
-            f_hist.pop(0)
-        new_vec = _anderson_step(x_hist, f_hist, config.damping)
+                or (handover_residual is not None
+                    and (fp_res <= handover_residual
+                         or norm < PICARD_COLLAPSE_FRACTION * best_norm))):
+            return _Outcome(status, x_field, fp_res, best_field, best_res, best_norm)
+        x_vec, f_vec = x_field.coeffs.ravel(), res_field.coeffs.ravel()
+        if x_prev is not None and depth > 0:
+            if used == depth:  # drop the oldest pair
+                dx[:, :-1] = dx[:, 1:]
+                df[:, :-1] = df[:, 1:]
+            else:
+                used += 1
+            np.subtract(x_vec, x_prev, out=dx[:, used - 1])
+            np.subtract(f_vec, f_prev, out=df[:, used - 1])
+        if used == depth:
+            new_vec = _anderson_step(x_vec, f_vec, dx, df, config.damping)
+        else:  # a C-contiguous copy, as BLAS takes a strided slice by another route
+            new_vec = _anderson_step(x_vec, f_vec, dx[:, :used].copy(), df[:, :used].copy(),
+                                     config.damping)
+        x_prev, f_prev = x_vec, f_vec
         if not np.all(np.isfinite(new_vec)) or \
                 np.linalg.norm(new_vec) > 1e3 * max(1.0, np.linalg.norm(x_vec)):
             # runaway extrapolation: fall back to the plain damped step
-            new_vec = x_vec + config.damping * f_hist[-1]
-            x_hist, f_hist = [x_vec], [f_hist[-1]]
+            new_vec = x_vec + config.damping * f_vec
+            used = 0
         x_field = project(_as_field(config.grid, new_vec))
-    return _Outcome(None, best_field, best_res, best_field, best_res)
+    return _Outcome(None, best_field, best_res, best_field, best_res, best_norm)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -454,9 +474,11 @@ def _radial_rescale(config: SolverConfig, fld: SpectralField) -> SpectralField:
 def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
     """Picard to lock the shape, Newton to polish.
 
-    Picard hands over once its residual is below 1e-4, stalls, or exhausts
-    a fraction of the iteration budget; Newton then starts from the best
-    iterate seen, radially rebalanced onto its own fixed-point ray.
+    Picard hands over once its residual is below 1e-4, it stalls (8 rows
+    without a new best), it collapses radially (a later row's X0 norm below
+    half the best iterate's) or it exhausts a fraction of the iteration
+    budget; Newton then starts from the best iterate seen, radially
+    rebalanced onto its own fixed-point ray.
     """
     work = _working_config(config)
     trace: list[tuple[int, float, float]] = []
@@ -470,7 +492,7 @@ def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
     # the budget of max_iter trace rows has some left.
     outer = min(60, config.max_iter - len(trace))
     if (out.status != STATUS_CONVERGED and out.best_residual < 1.0 and outer > 0
-            and x0_norm(out.best_field, config.weight) > config.tol_zero):
+            and out.best_norm > config.tol_zero):
         out = _newton_phase(work, _radial_rescale(work, out.best_field), outer, trace)
     return _finalize(config, out, trace)
 

@@ -7,7 +7,8 @@ direct trigonometric summation on a heavily oversampled grid, the
 classical residual samples the field through the FFT route, and the
 periodic-orbit oracle is classical shooting (high-order ODE integration of
 the orbit and its variational equation, dense Newton on the half-period
-return map).
+return map), and the Anderson oracle rebuilds its difference matrices from
+the whole iterate history on every step.
 """
 
 import numpy as np
@@ -160,3 +161,49 @@ def plane_wave_field(grid: GridSpec, j: int, m: int, scale: float = 0.5) -> Spec
     coeffs = np.zeros((grid.n_sites, grid.n_harmonics))
     coeffs[:, m - 1] = scale * np.cos(k * grid.sites)
     return SpectralField(grid, coeffs)
+
+
+def anderson_step(x_hist: list, f_hist: list, theta: float) -> np.ndarray:
+    """Restacking route for damped Anderson mixing over an iterate history.
+
+    The difference columns are stacked afresh from the stored iterates and
+    residuals, oldest first; with one stored pair this is the damped Picard
+    update x + theta * f.
+    """
+    x_k, f_k = x_hist[-1], f_hist[-1]
+    depth = len(x_hist) - 1
+    if depth == 0:
+        return x_k + theta * f_k
+    dx = np.stack([x_hist[i + 1] - x_hist[i] for i in range(depth)], axis=1)
+    df = np.stack([f_hist[i + 1] - f_hist[i] for i in range(depth)], axis=1)
+    a = df.T @ df
+    reg = 1e-12 * max(np.trace(a) / depth, 1e-30)
+    gamma = np.linalg.solve(a + reg * np.eye(depth), df.T @ f_k)
+    return x_k + theta * f_k - (dx + theta * df) @ gamma
+
+
+class AndersonHistory:
+    """Picard's history kept as whole iterates: at most depth + 1 pairs, cut
+    back to the newest pair after a runaway step (non-finite, or a norm above
+    1e3 times max(1, ||x||)), with counts of both events."""
+
+    def __init__(self, depth: int, theta: float):
+        self.depth, self.theta = depth, theta
+        self.x_hist: list = []
+        self.f_hist: list = []
+        self.trims = self.resets = 0
+
+    def step(self, x_k: np.ndarray, f_k: np.ndarray) -> tuple[np.ndarray, int]:
+        """The oracle's step from (x_k, f_k) and the difference columns it used."""
+        self.x_hist.append(x_k)
+        self.f_hist.append(f_k)
+        if len(self.x_hist) > self.depth + 1:
+            del self.x_hist[0], self.f_hist[0]
+            self.trims += 1
+        new = anderson_step(self.x_hist, self.f_hist, self.theta)
+        columns = len(self.x_hist) - 1
+        if not np.all(np.isfinite(new)) or \
+                np.linalg.norm(new) > 1e3 * max(1.0, np.linalg.norm(x_k)):
+            self.x_hist, self.f_hist = [x_k], [f_k]
+            self.resets += 1
+        return new, columns

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import filecmp
 import io
@@ -227,6 +228,20 @@ def test_bounds_refuses_frequencies_solve_refuses(argv, capsys):
 def test_usage_errors_exit_one():
     assert run_command(["frobnicate"]) == 1
     assert run_command(["solve", "--omega"]) == 1
+
+
+def test_parser_is_built_once_and_outlives_a_usage_error(capsys):
+    fresh = _build_parser.__wrapped__()
+    assert run_command(["solve", "--omega"]) == 1
+    assert run_command(["bounds", "--omega2", "12", "--beta", "1"]) == 0
+    assert _build_parser() is _build_parser()
+    capsys.readouterr()
+    assert run_command(["--help"]) == 0
+    assert capsys.readouterr().out == fresh.format_help()
+    assert run_command(["solve", "--help"]) == 0
+    subcommands = next(action for action in fresh._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert capsys.readouterr().out == subcommands.choices["solve"].format_help()
 
 
 def test_solve_harmonic_exits_two(tmp_path, capsys):

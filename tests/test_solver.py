@@ -13,10 +13,12 @@ from breather_forge import (GridSpec, PotentialSpec, ResonanceError,
                             refine, solve, synthesize,
                             time_means, x0_norm, zero_field)
 from breather_forge import solver as solver_module
-from breather_forge.solver import _picard_phase, build_seed
+from breather_forge.solver import (PICARD_COLLAPSE_FRACTION, PICARD_TO_NEWTON_RESIDUAL,
+                                    _picard_phase, _working_config, build_seed)
 
 from conftest import QUARTIC, flagship_config
-from oracles import central_block, profile_at_t0, shooting_orbit, staggered_guess
+from oracles import (AndersonHistory, central_block, profile_at_t0, shooting_orbit,
+                     staggered_guess)
 
 
 def test_config_validation():
@@ -172,7 +174,72 @@ def test_odd_flagship_work_counts(monkeypatch):
     result = hybrid_solve(flagship_config("odd"))
     assert result.status == "converged"
     assert (result.iterations, counts["apply_S"], counts["matvec"], counts["gmres"]) == \
-        (15, 17, 22, 5)
+        (8, 10, 22, 5)
+
+
+def test_hybrid_picard_hands_over_at_radial_collapse():
+    # the odd flagship's Picard phase slides inward after its best iterate;
+    # the hybrid phase stops at the first later row under half the best norm,
+    # while a Picard solve runs the same rows on until it collapses to zero
+    cfg = flagship_config("odd")
+    work = _working_config(cfg)
+    trace = []
+    out = _picard_phase(work, build_seed(work), 100, trace,
+                        handover_residual=PICARD_TO_NEWTON_RESIDUAL)
+    best = min(range(len(trace)), key=lambda i: trace[i][1])
+    collapsed = [i for i in range(best + 1, len(trace))
+                 if trace[i][2] < PICARD_COLLAPSE_FRACTION * trace[best][2]]
+    assert out.status is None and collapsed and collapsed[0] == len(trace) - 1
+    assert (out.best_residual, out.best_norm) == trace[best][1:]
+    picard = picard_solve(replace(cfg, strategy="picard"))
+    assert picard.status == "collapsed_to_zero"
+    assert picard.trace[:len(trace)] == trace and len(picard.trace) > len(trace)
+
+
+def _replay_anderson(monkeypatch, solve_fn, cfg) -> tuple[list[int], AndersonHistory]:
+    """Solve, checking every Picard step bit for bit against the restacking
+    oracle fed the same iterates; returns each step's column count and the
+    oracle's history."""
+    history = AndersonHistory(cfg.accel_depth, cfg.damping)
+    columns = []
+    real_step = solver_module._anderson_step
+
+    def checked(x_k, f_k, dx, df, theta):
+        new = real_step(x_k, f_k, dx, df, theta)
+        expected, expected_columns = history.step(x_k.copy(), f_k.copy())
+        assert dx.shape[1] == df.shape[1] == expected_columns
+        assert np.array_equal(new, expected)
+        columns.append(expected_columns)
+        return new
+
+    monkeypatch.setattr(solver_module, "_anderson_step", checked)
+    solve_fn(cfg)
+    return columns, history
+
+
+@pytest.mark.parametrize("depth", [0, 1, 5])
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("solve_fn", [hybrid_solve, picard_solve], ids=["hybrid", "picard"])
+def test_anderson_steps_match_the_restacking_oracle(solve_fn, parity, depth, monkeypatch):
+    cfg = replace(flagship_config(parity), accel_depth=depth)
+    columns, history = _replay_anderson(monkeypatch, solve_fn, cfg)
+    assert columns and max(columns) <= depth
+    if solve_fn is picard_solve and depth > 0:
+        assert history.trims > 0  # the history ran full and dropped its oldest pair
+
+
+@pytest.mark.parametrize("parity, seed, damping, depth, cut", [
+    ("odd", (40.0, 1.0), 0.5, 5, False),   # the runaway step is the last before divergence
+    ("even", (40.0, 1.0), 0.5, 5, False),  # the first step runs away, three follow it
+    ("odd", (6.0, 1.0), 1.0, 2, True),     # two columns cut back to one, then regrown
+])
+def test_anderson_history_resets_after_a_runaway_step(parity, seed, damping, depth, cut,
+                                                       monkeypatch):
+    cfg = replace(flagship_config(parity), strategy="picard", seed=seed, damping=damping,
+                  accel_depth=depth)
+    columns, history = _replay_anderson(monkeypatch, picard_solve, cfg)
+    assert history.resets > 0
+    assert any(later < earlier for earlier, later in zip(columns, columns[1:])) == cut
 
 
 def _assert_gmres_matches_scipy(A, b, **kwargs):
