@@ -15,6 +15,9 @@ Each line holds the case, status, iterations and repr(x0_norm).  Then one
 line of iteration totals per group (flagship odd, flagship even, grid,
 sweep) and the totals, which count converged solves, S evaluations and GMRES
 calls and matvecs, by wrapping the names the solver module looks up.  The
+totals also give the most matvecs of any one GMRES call and the number of
+calls that reached the column cap: ``solver.gmres`` runs a single cycle, so
+a call at the cap is a linear solve that may have missed its tolerance.  The
 output is deterministic, so two builds are compared with diff.
 """
 
@@ -27,7 +30,7 @@ from scipy.sparse.linalg import LinearOperator
 from breather_forge import (GridSpec, PotentialSpec, SolverConfig, WeightSpec,
                             continuation_sweep, hybrid_solve, solve, solver)
 
-COUNTS = {"s_evals": 0, "gmres_calls": 0, "matvecs": 0}
+COUNTS = {"s_evals": 0, "gmres_calls": 0, "matvecs": 0, "most_matvecs": 0, "at_cap": 0}
 
 
 def _counting(fn, key):
@@ -38,10 +41,15 @@ def _counting(fn, key):
 
 
 def _counting_gmres(gmres):
-    def wrapper(A, b, *args, **kwargs):
+    def wrapper(A, b, *, rtol, restart):
         COUNTS["gmres_calls"] += 1
+        before = COUNTS["matvecs"]
         op = LinearOperator(A.shape, matvec=_counting(A.matvec, "matvecs"), dtype=A.dtype)
-        return gmres(op, b, *args, **kwargs)
+        x = gmres(op, b, rtol=rtol, restart=restart)
+        matvecs = COUNTS["matvecs"] - before
+        COUNTS["most_matvecs"] = max(COUNTS["most_matvecs"], matvecs)
+        COUNTS["at_cap"] += matvecs >= min(restart, b.size)
+        return x
     return wrapper
 
 
@@ -95,7 +103,9 @@ def main() -> int:
         print(f"iterations {group}: {iterations}")
     print(f"total: {solves} solves, {converged} converged, "
           f"{sum(group_iterations.values())} iterations, {COUNTS['s_evals']} S "
-          f"evaluations, {COUNTS['gmres_calls']} GMRES calls, {COUNTS['matvecs']} matvecs")
+          f"evaluations, {COUNTS['gmres_calls']} GMRES calls, {COUNTS['matvecs']} matvecs, "
+          f"at most {COUNTS['most_matvecs']} in one call, {COUNTS['at_cap']} calls at the "
+          "column cap")
     return 0
 
 

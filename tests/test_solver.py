@@ -174,7 +174,7 @@ def test_odd_flagship_work_counts(monkeypatch):
     result = hybrid_solve(flagship_config("odd"))
     assert result.status == "converged"
     assert (result.iterations, counts["apply_S"], counts["matvec"], counts["gmres"]) == \
-        (8, 10, 22, 5)
+        (8, 10, 17, 5)
 
 
 def test_hybrid_picard_hands_over_at_radial_collapse():
@@ -243,54 +243,77 @@ def test_anderson_history_resets_after_a_runaway_step(parity, seed, damping, dep
 
 
 def _assert_gmres_matches_scipy(A, b, **kwargs):
-    x, info = solver_module.gmres(A, b, **kwargs)
-    x_ref, info_ref = scipy_gmres(A, b, **kwargs)
-    assert np.array_equal(x, x_ref) and info == info_ref
-    return info
+    """Bit-for-bit check of one cycle against scipy's first; returns scipy's info."""
+    x = solver_module.gmres(A, b, **kwargs)
+    x_ref, info_ref = scipy_gmres(A, b, atol=0.0, maxiter=1, **kwargs)
+    assert np.array_equal(x, x_ref)
+    return info_ref
+
+
+def _recording_gmres(monkeypatch) -> list[tuple]:
+    """Patch the solver's GMRES to record (A, b, kwargs, matvecs) of every call."""
+    calls = []
+    real_gmres = solver_module.gmres
+
+    def recording(A, b, **kwargs):
+        matvecs = [0]
+
+        def matvec(v):
+            matvecs[0] += 1
+            return A.matvec(v)
+
+        x = real_gmres(LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), b, **kwargs)
+        calls.append((A, b.copy(), kwargs, matvecs[0]))
+        return x
+
+    monkeypatch.setattr(solver_module, "gmres", recording)
+    return calls
+
+
+def _assert_every_cycle_stops_before_its_cap(calls):
+    # gmres runs one cycle: a system that needed a restart would reach the cap
+    most = max(matvecs for *_, matvecs in calls)
+    assert all(matvecs < min(kwargs["restart"], b.size) for _, b, kwargs, matvecs in calls), \
+        f"a GMRES call reached its column cap (most matvecs in one call: {most})"
 
 
 def test_gmres_matches_scipy_on_the_flagship_newton_systems(monkeypatch):
-    systems = []
-    real_gmres = solver_module.gmres
-
-    def capturing(A, b, **kwargs):
-        systems.append((A, b.copy(), kwargs))
-        return real_gmres(A, b, **kwargs)
-
-    monkeypatch.setattr(solver_module, "gmres", capturing)
-    assert hybrid_solve(flagship_config("odd")).status == "converged"
+    calls = _recording_gmres(monkeypatch)
+    for parity in ("odd", "even"):
+        assert hybrid_solve(flagship_config(parity)).status == "converged"
     monkeypatch.undo()
-    assert len(systems) == 5
-    for A, b, kwargs in systems:
-        _assert_gmres_matches_scipy(A, b, **kwargs)
+    _assert_every_cycle_stops_before_its_cap(calls)
+    assert len(calls) == 5 + 4  # odd, even
+    for A, b, kwargs, _ in calls:
+        assert _assert_gmres_matches_scipy(A, b, **kwargs) == 0  # met rtol in one cycle
 
 
 def _well_conditioned(n, rng):
     return np.eye(n) + 0.3 * rng.standard_normal((n, n)) / math.sqrt(n)
 
 
-@pytest.mark.parametrize("case", ["random_512", "zero_rhs", "breakdown", "restarts",
-                                  "maxiter"])
+@pytest.mark.parametrize("case", ["random_512", "zero_rhs", "breakdown", "column_cap",
+                                  "column_cap_tight"])
 def test_gmres_matches_scipy(case):
     rng = np.random.default_rng(18)
     n = 512 if case == "random_512" else 40
     b = rng.standard_normal(n)
     A = _well_conditioned(n, rng)
-    kwargs = dict(rtol=1e-10, atol=0.0, restart=60, maxiter=3)
+    kwargs = dict(rtol=1e-10, restart=60)
     if case == "zero_rhs":
         b = np.zeros(n)
     elif case == "breakdown":
         A = np.eye(n)
-    elif case == "restarts":
-        kwargs.update(restart=4, maxiter=50)
-    elif case == "maxiter":
-        kwargs.update(rtol=1e-14, restart=2, maxiter=2)
+    elif case == "column_cap":
+        kwargs.update(restart=4)
+    elif case == "column_cap_tight":
+        kwargs.update(rtol=1e-14, restart=2)
     matvecs = []
     op = LinearOperator(A.shape, matvec=lambda v: matvecs.append(1) or A @ v, dtype=float)
-    info = _assert_gmres_matches_scipy(op, b, **kwargs)
-    assert info == (2 if case == "maxiter" else 0)
-    if case == "restarts":
-        assert len(matvecs) > 2 * (kwargs["restart"] + 1)  # each run, several cycles
+    solver_module.gmres(op, b, **kwargs)
+    stops_at_cap = case.startswith("column_cap")
+    assert (len(matvecs) == kwargs["restart"]) == stops_at_cap
+    assert _assert_gmres_matches_scipy(op, b, **kwargs) == (1 if stops_at_cap else 0)
 
 
 def test_newton_from_zero_collapses():
@@ -343,8 +366,9 @@ def test_auto_seed_lies_on_its_fixed_point_ray(quartic, parity, lam):
     assert abs(ratio - 1.0) <= 1e-12
 
 
-def test_auto_seed_converges_over_the_band_edge_grid():
+def test_auto_seed_converges_over_the_band_edge_grid(monkeypatch):
     # lattice long enough for the tail rate kappa to reach 1e-10 at the edge
+    calls = _recording_gmres(monkeypatch)
     failed = []
     for quartic in (0.5, 1.0, 2.0):
         for omega in (2.02, 2.05, 2.1, 2.2, 2.35, 2.5, 2.8, 3.2, 3.6):
@@ -355,6 +379,7 @@ def test_auto_seed_converges_over_the_band_edge_grid():
                 if res.status != "converged":
                     failed.append((quartic, omega, parity, res.status))
     assert failed == []
+    _assert_every_cycle_stops_before_its_cap(calls)
 
 
 @pytest.mark.parametrize("parity", ["odd", "even"])
