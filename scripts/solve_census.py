@@ -24,8 +24,7 @@ output is deterministic, so two builds are compared with diff.
 import math
 import random
 import sys
-
-from scipy.sparse.linalg import LinearOperator
+from types import SimpleNamespace
 
 from breather_forge import (GridSpec, PotentialSpec, SolverConfig, WeightSpec,
                             continuation_sweep, hybrid_solve, solve, solver)
@@ -44,7 +43,8 @@ def _counting_gmres(gmres):
     def wrapper(A, b, *, rtol, restart):
         COUNTS["gmres_calls"] += 1
         before = COUNTS["matvecs"]
-        op = LinearOperator(A.shape, matvec=_counting(A.matvec, "matvecs"), dtype=A.dtype)
+        op = SimpleNamespace(shape=A.shape, dtype=A.dtype,
+                             matvec=_counting(A.matvec, "matvecs"))
         x = gmres(op, b, rtol=rtol, restart=restart)
         matvecs = COUNTS["matvecs"] - before
         COUNTS["most_matvecs"] = max(COUNTS["most_matvecs"], matvecs)

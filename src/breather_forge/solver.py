@@ -7,18 +7,18 @@ by itself.  The hybrid strategy therefore runs damped Picard with optional
 Anderson-type residual acceleration to lock in the profile shape, then
 finishes with a matrix-free Newton iteration on F(x) = x - S(x), whose
 linear systems the module's own ``gmres`` solves in one Arnoldi cycle with
-scipy's arithmetic.  Every strategy iterates on its config's half-wave grid
-(``_working_config``).
+scipy's arithmetic, in numpy and plain floats.  Every strategy iterates on
+its config's half-wave grid (``_working_config``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dataclass_field, replace
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.lapack import dlartg
-from scipy.sparse.linalg import LinearOperator
 
 from . import validation
 from .lattice_model import PotentialSpec
@@ -273,14 +273,44 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+_SAFMIN = sys.float_info.min  # LAPACK's dsafmin, 2**-1022
+_SAFMAX = 1.0 / _SAFMIN
+_RTMIN = math.sqrt(_SAFMIN)
+_RTMAX = math.sqrt(_SAFMAX / 2)
+
+
+def dlartg(f: float, g: float) -> tuple[float, float, float]:
+    """Plane rotation (c, s, r) with [c s; -s c] [f; g] = [r; 0], as LAPACK's DLARTG.
+
+    The formula of LAPACK 3.10 and later (E. Anderson, "Algorithm 978: Safe
+    Scaling in the Level 1 BLAS", ACM TOMS 44, 2017), branch for branch in
+    double precision, so it has the bits of ``scipy.linalg.lapack.dlartg``.
+    """
+    f1, g1 = abs(f), abs(g)
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), g1
+    if _RTMIN < f1 < _RTMAX and _RTMIN < g1 < _RTMAX:
+        d = math.sqrt(f * f + g * g)
+        r = math.copysign(d, f)
+        return f1 / d, g / r, r
+    u = min(_SAFMAX, max(_SAFMIN, f1, g1))
+    fs, gs = f / u, g / u
+    d = math.sqrt(fs * fs + gs * gs)
+    r = math.copysign(d, f)
+    return abs(fs) / d, gs / r, r * u
+
+
 def gmres(A, b: np.ndarray, *, rtol: float, restart: int) -> np.ndarray:
     """One GMRES cycle for A x = b from x0 = 0, without preconditioner, on real float64.
 
     At most ``restart`` Krylov columns; the cycle stops once the rotated residual
     is within ``rtol ||b||`` or at breakdown.  Step for step the arithmetic of
     scipy 1.17's ``scipy.sparse.linalg.gmres`` in that case, so ``x`` has the bits
-    of its first cycle: modified Gram-Schmidt by ``np.dot``, LAPACK ``dlartg``
-    Givens rotations and back substitution on the rotated Hessenberg matrix.
+    of its first cycle: modified Gram-Schmidt by ``np.dot``, Givens rotations by
+    LAPACK's formula (``dlartg``) and back substitution on the rotated Hessenberg
+    matrix.
     ``A`` is anything with a ``matvec``.  A system that misses the tolerance
     gets the cycle's minimal-residual x; the caller judges it.
     """
@@ -358,8 +388,8 @@ def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
     which is enough for quadratic-looking outer convergence in practice; a
     cycle that misses it still gives a step, and the line search and the
     stagnation exit judge that step by the true nonlinear residual.  The
-    solve is the module-level ``gmres``, looked up at each call, on a
-    ``LinearOperator``.
+    solve is the module-level ``gmres``, looked up at each call, on an
+    operator object with ``shape``, ``dtype`` and ``matvec``.
     """
     project = parity_projector(config.parity)
     grid = config.grid
@@ -385,7 +415,8 @@ def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
             return w_field.coeffs.ravel() - project(jvp(w_field)).coeffs.ravel()
 
         r_vec = res_field.coeffs.ravel()  # -F(x)
-        op = LinearOperator((r_vec.size, r_vec.size), matvec=matvec, dtype=float)
+        op = SimpleNamespace(shape=(r_vec.size, r_vec.size), dtype=np.dtype(float),
+                             matvec=matvec)
         # one cycle of at most 60 columns bounds the matvec count per outer step
         delta = gmres(op, r_vec, rtol=1e-3, restart=60)
         if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) == 0.0:

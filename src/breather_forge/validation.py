@@ -207,7 +207,9 @@ def integrate_trajectory(x0_field: SpectralField, spec: PotentialSpec,
     xdot = np.empty(n)
     # 0-d arrays, not floats: numpy converts a Python float operand on every call
     two, step, half = np.array(2.0), np.array(dt), np.array(0.5 * dt)
-    kick = x + force(spec, x)
+    coeffs = PotentialSpec(np.array(spec.cubic), np.array(spec.quartic))
+    wp = np.empty(n)  # W'(x), written in place each step
+    kick = x + force(coeffs, x, wp)
     kick *= half  # the half-kick dt/2 V'(x), with V'(x) = x + W'(x)
     for period in range(periods):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -216,14 +218,14 @@ def integrate_trajectory(x0_field: SpectralField, spec: PotentialSpec,
                 ybuf[0] = ybuf[n]
                 ybuf[n + 1] = ybuf[1]
                 # x' = 2 y_n - y_{n+1} - y_{n-1} on the ring, summed in that order
-                np.multiply(y, two, out=xdot)
+                np.multiply(y, two, xdot)
                 xdot -= right
                 xdot -= left
                 xdot *= step
                 x += xdot
                 # the closing half-kick's force opens the next step: the same kick
                 # is subtracted twice, never once doubled, which would round apart
-                np.add(x, force(spec, x), out=kick)
+                np.add(x, force(coeffs, x, wp), kick)
                 kick *= half
                 y -= kick
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):

@@ -648,15 +648,28 @@ def test_bad_integration_arguments_fail_before_the_solve(argv, monkeypatch, tmp_
     assert not out.exists()
 
 
-def test_module_runs_as_a_command():
+def _program_env() -> dict:
     src = str(Path(breather_forge.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_runs_as_a_command():
     proc = subprocess.run([sys.executable, "-m", "breather_forge.cli_io", "bounds",
                            "--omega", "2.5", "--quartic", "1"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_program_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "r_max =" in proc.stdout
+
+
+def test_importing_the_program_loads_no_scipy():
+    # every CLI call pays this import before any work; scipy alone costs more than numpy
+    code = ("import sys, breather_forge, breather_forge.cli_io; "
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_program_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_nu_table_cells_are_plain_floats(solved_dir):

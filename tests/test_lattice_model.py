@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from breather_forge import (MixedPotentialError, PotentialSpec, dispersion,
                             eval_potential, growth_bound)
+from breather_forge.lattice_model import force
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False)
@@ -31,6 +32,15 @@ def test_eval_potential_pure_cubic():
     assert vals.W == pytest.approx(-1.0 / 3.0, abs=1e-15)
     assert vals.Wp == 1.0
     assert vals.Wpp == -2.0
+
+
+def test_force_into_a_buffer_has_the_same_bits():
+    spec = PotentialSpec(cubic=0.3, quartic=-1.7)
+    x = np.random.default_rng(19).standard_normal(64) * 3.0
+    out = np.empty_like(x)
+    assert force(spec, x, out) is out
+    assert np.array_equal(out, force(spec, x))
+    assert type(force(spec, 1.5)) is float
 
 
 @given(finite_floats, finite_floats, finite_floats)

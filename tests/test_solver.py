@@ -1,8 +1,12 @@
+import itertools
 import math
+import random
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dlartg as scipy_dlartg
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import gmres as scipy_gmres
 
@@ -286,6 +290,26 @@ def test_gmres_matches_scipy_on_the_flagship_newton_systems(monkeypatch):
     assert len(calls) == 5 + 4  # odd, even
     for A, b, kwargs, _ in calls:
         assert _assert_gmres_matches_scipy(A, b, **kwargs) == 0  # met rtol in one cycle
+
+
+def test_dlartg_matches_lapack():
+    # repr tells the signs of zeros apart and shows nan
+    rng = random.Random(21)
+    scales = [10.0 ** e for e in range(-300, 301, 25)]
+    values = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308,
+              math.inf, -math.inf, math.nan]
+    # each side of LAPACK's unscaled-branch limits sqrt(safmin) and sqrt(safmax / 2)
+    for edge in (math.sqrt(sys.float_info.min), math.sqrt(0.5 / sys.float_info.min)):
+        values += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
+                   -edge, 0.9 * edge, 1.1 * edge]
+    pairs = list(itertools.product(values, repeat=2))
+    for f_scale, g_scale in itertools.product(scales, repeat=2):
+        for _ in range(4):
+            pairs.append((rng.choice((-1, 1)) * rng.uniform(1, 10) * f_scale,
+                          rng.choice((-1, 1)) * rng.uniform(1, 10) * g_scale))
+    for f, g in pairs:
+        assert list(map(repr, solver_module.dlartg(f, g))) == \
+            list(map(repr, scipy_dlartg(f, g))), (f, g)
 
 
 def _well_conditioned(n, rng):
