@@ -27,7 +27,7 @@ def main():
     for omega in np.linspace(2.1, 3.6, 7):
         cfg = SolverConfig(grid=GridSpec(64, 16, 130, float(omega)),
                            weight=WeightSpec(0.0), potential=QUARTIC,
-                           parity="odd", strategy="hybrid", seed=(None, 1.5),
+                           parity="odd", seed=(None, 1.5),
                            max_iter=400)
         res = hybrid_solve(cfg)
         solves[float(omega)] = res.x0_norm if res.status == "converged" else float("nan")

@@ -20,8 +20,7 @@ OMEGA = 2.8
 def solve_with_width(width):
     cfg = SolverConfig(grid=GridSpec(96, 16, 130, OMEGA),
                        weight=WeightSpec(0.0), potential=QUARTIC,
-                       parity="odd", strategy="hybrid",
-                       seed=(0.8, width), max_iter=400)
+                       parity="odd", seed=(0.8, width), max_iter=400)
     return hybrid_solve(cfg)
 
 

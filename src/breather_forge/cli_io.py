@@ -30,7 +30,7 @@ from . import validation
 from .lattice_model import MixedPotentialError, PotentialSpec
 from .operators import Multiplier, ResonanceError, probe_operator_norm
 from .solver import (BreatherResult, SolverConfig, STATUS_CONVERGED, STATUS_RESONANCE,
-                     STRATEGIES, UnsupportedPotentialError, continuation_sweep, solve)
+                     UnsupportedPotentialError, continuation_sweep, solve)
 from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec,
                              max_amplitude_profile, parity_center, synthesize,
                              x0_norm, x2_norm)
@@ -96,9 +96,6 @@ CONFIG_KEYS = (
     ConfigKey("solver.parity", "parity", None, "odd", "--parity",
               "odd: site-centred, even: bond-centred", lambda c: c.parity,
               choices=PARITIES),
-    ConfigKey("solver.strategy", "strategy", None, "hybrid", "--strategy",
-              "fixed-point iteration scheme", lambda c: c.strategy,
-              choices=STRATEGIES),
     ConfigKey("solver.damping", "damping", float, 0.5, "--damping",
               "Picard damping in (0, 1]", lambda c: c.damping),
     ConfigKey("solver.accel_depth", "accel_depth", int, 5, "--accel-depth",
@@ -135,6 +132,11 @@ def _parse_lines(text: str) -> dict[str, object]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "omega":
             key = "grid.omega"  # bare alias for the one required key
+        if key == "solver.strategy":  # removed; earlier manifests echo its default
+            if value != "hybrid":
+                problems.append(f"line {lineno}: solver.strategy was removed, as every "
+                                f"solve runs Picard then Newton; got {value!r}")
+            continue
         if key not in _BY_KEY:
             problems.append(f"line {lineno}: unknown key {key!r}")
         elif key in entries:
@@ -170,7 +172,6 @@ def build_config(values: dict[str, object]) -> SolverConfig:
             weight=WeightSpec.for_parity(v.lam, v.parity),
             potential=PotentialSpec(cubic=v.cubic, quartic=v.quartic),
             parity=v.parity,
-            strategy=v.strategy,
             damping=v.damping,
             accel_depth=v.accel_depth,
             tol_residual=v.tol_residual,

@@ -16,7 +16,6 @@ def flagship_config(parity: str = "odd") -> SolverConfig:
         weight=WeightSpec.for_parity(0.0, parity),
         potential=QUARTIC,
         parity=parity,
-        strategy="hybrid",
         seed=(0.8, 1.0),
         max_iter=500,
     )

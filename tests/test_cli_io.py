@@ -43,7 +43,6 @@ def test_parse_minimal_document_applies_defaults():
     assert config.grid.omega == 2.2
     assert config.grid.n_sites == 64
     assert config.grid.n_harmonics == 16
-    assert config.strategy == "hybrid"
     assert config.seed == (None, 1.0)
 
 
@@ -75,10 +74,31 @@ def test_parse_rejects_duplicates_and_ranges():
 
 def test_parse_names_each_bad_choice_by_line():
     with pytest.raises(ConfigError) as info:
-        parse_config("omega = 2.2\nsolver.parity = sideways\nsolver.strategy = fast\n")
+        parse_config("omega = 2.2\nsolver.parity = sideways\nsolver.max_iter = many\n")
     assert str(info.value) == (
         "line 2: solver.parity must be one of even, odd, got 'sideways'; "
-        "line 3: solver.strategy must be one of picard, newton, hybrid, got 'fast'")
+        "line 3: solver.max_iter must be an integer, got 'many'")
+
+
+@pytest.mark.parametrize("value", ["newton", "picard", "fast"])
+def test_parse_rejects_the_removed_strategy_key_by_line(value):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"omega = 2.2\nsolver.strategy = {value}\n")
+    assert str(info.value) == (
+        "line 2: solver.strategy was removed, as every solve runs Picard then Newton; "
+        f"got {value!r}")
+
+
+def test_parse_ignores_the_strategy_line_earlier_manifests_echo():
+    config = parse_config(FULL)
+    assert parse_config(FULL + "solver.strategy = hybrid\n") == config
+    assert "strategy" not in serialize_config(config)
+
+
+def test_strategy_flag_is_a_usage_error(tmp_path):
+    assert run_command([*_FLAGSHIP_SOLVE, "--strategy", "hybrid",
+                        "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_round_trip_fixpoint():
@@ -99,7 +119,6 @@ solver.tol_zero = 1e-9
 solver.tol_residual = 1E-10
 solver.accel_depth = 4
 solver.damping = .6
-solver.strategy = newton
 solver.parity = even
 potential.quartic = 0
 potential.cubic = 0.25
@@ -118,7 +137,6 @@ weight.lambda = 0.1
 potential.cubic = 0.25
 potential.quartic = 0.0
 solver.parity = even
-solver.strategy = newton
 solver.damping = 0.6
 solver.accel_depth = 4
 solver.tol_residual = 1e-10
@@ -132,8 +150,8 @@ solver.seed_width = 1.2
 FLAG_VALUES = {
     "grid.n_sites": "40", "grid.n_harmonics": "10", "grid.n_time_samples": "90",
     "grid.omega": "2.35", "weight.lambda": "0.05", "potential.cubic": "0.3",
-    "potential.quartic": "0.7", "solver.parity": "even", "solver.strategy": "picard",
-    "solver.damping": "0.4", "solver.accel_depth": "3", "solver.tol_residual": "1e-9",
+    "potential.quartic": "0.7", "solver.parity": "even", "solver.damping": "0.4",
+    "solver.accel_depth": "3", "solver.tol_residual": "1e-9",
     "solver.max_iter": "300", "solver.seed_amplitude": "0.9", "solver.seed_width": "1.1",
 }
 
@@ -456,6 +474,25 @@ def test_verify_passes_on_fresh_manifest(solved_dir, capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert "reproducible_trace: PASS" in out
+
+
+def test_verify_passes_a_manifest_echoing_the_removed_strategy_key(solved_dir, tmp_path,
+                                                                  capsys):
+    # manifests written before the key's removal hold it right after solver.parity
+    manifest = load_manifest(str(solved_dir / "manifest.json"))
+    echo = manifest["config_echo"]
+    parity_line = "solver.parity = odd\n"
+    assert echo.count(parity_line) == 1 and "strategy" not in echo
+    manifest["config_echo"] = echo.replace(parity_line,
+                                           parity_line + "solver.strategy = hybrid\n")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    for name in ("trace.csv", "spectrum.csv"):
+        (tmp_path / name).write_bytes((solved_dir / name).read_bytes())
+    rc = run_command(["verify", "--manifest", str(tmp_path / "manifest.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert len(lines) == 9 and all(line.startswith("CHECK ") and ": PASS (" in line
+                                   for line in lines)
 
 
 def test_verify_fails_a_record_that_does_not_solve_the_equation(tmp_path, capsys):

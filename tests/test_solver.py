@@ -24,6 +24,9 @@ from conftest import QUARTIC, flagship_config
 from oracles import (AndersonHistory, central_block, profile_at_t0, shooting_orbit,
                      staggered_guess)
 
+EACH_ENTRY_POINT = pytest.mark.parametrize("entry", [picard_solve, newton_solve, hybrid_solve],
+                                           ids=["picard", "newton", "hybrid"])
+
 
 def test_config_validation():
     grid = GridSpec(64, 16, 130, 2.2)
@@ -33,15 +36,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(grid=grid, weight=weight, potential=QUARTIC, parity="none")
     with pytest.raises(ValueError):
-        SolverConfig(grid=grid, weight=weight, potential=QUARTIC, strategy="bfgs")
-    with pytest.raises(ValueError):
         SolverConfig(grid=grid, weight=weight, potential=QUARTIC, tol_residual=0.0)
 
 
 def test_harmonic_potential_collapses():
     cfg = SolverConfig(grid=GridSpec(32, 8, 66, 2.5), weight=WeightSpec(0.0),
                        potential=PotentialSpec(), parity="odd",
-                       strategy="picard", seed=(0.5, 1.0), max_iter=50)
+                       seed=(0.5, 1.0), max_iter=50)
     result = picard_solve(cfg)
     assert result.status == "collapsed_to_zero"
     assert result.x0_norm <= cfg.tol_zero
@@ -80,14 +81,12 @@ def test_picard_collapses_from_inside_seed():
     # homogeneous force the radial direction of S expands at the breather
     # (eigenvalue 3 for a cubic force), so plain accelerated iteration
     # cannot hold the nontrivial fixed point from below
-    cfg = replace(flagship_config("odd"), strategy="picard")
-    result = picard_solve(cfg)
+    result = picard_solve(flagship_config("odd"))
     assert result.status == "collapsed_to_zero"
 
 
 def test_picard_converges_from_outer_seed(flagship_result):
-    cfg = replace(flagship_config("odd"), strategy="picard",
-                  accel_depth=3, damping=1.0, seed=(1.0, 1.0))
+    cfg = replace(flagship_config("odd"), accel_depth=3, damping=1.0, seed=(1.0, 1.0))
     result = picard_solve(cfg)
     assert result.status == "converged"
     assert result.fp_residual <= 1e-10
@@ -140,10 +139,10 @@ def test_runaway_seed_ends_diverged(solve_fn, amplitude, iterations, fp_residual
 
 
 @pytest.mark.parametrize("parity", ["odd", "even"])
-@pytest.mark.parametrize("strategy", ["picard", "newton", "hybrid"])
-def test_solved_fields_lie_in_the_time_reversal_class(strategy, parity):
+@EACH_ENTRY_POINT
+def test_solved_fields_lie_in_the_time_reversal_class(entry, parity):
     # the solvers iterate on the real cosine coefficients, u(t) = u(-t)
-    result = solve(replace(flagship_config(parity), strategy=strategy))
+    result = entry(flagship_config(parity))
     assert np.all(result.field.coeffs.imag == 0.0)
     assert result.field.coeffs.dtype == np.float64
 
@@ -195,7 +194,7 @@ def test_hybrid_picard_hands_over_at_radial_collapse():
                  if trace[i][2] < PICARD_COLLAPSE_FRACTION * trace[best][2]]
     assert out.status is None and collapsed and collapsed[0] == len(trace) - 1
     assert (out.best_residual, out.best_norm) == trace[best][1:]
-    picard = picard_solve(replace(cfg, strategy="picard"))
+    picard = picard_solve(cfg)
     assert picard.status == "collapsed_to_zero"
     assert picard.trace[:len(trace)] == trace and len(picard.trace) > len(trace)
 
@@ -239,8 +238,7 @@ def test_anderson_steps_match_the_restacking_oracle(solve_fn, parity, depth, mon
 ])
 def test_anderson_history_resets_after_a_runaway_step(parity, seed, damping, depth, cut,
                                                        monkeypatch):
-    cfg = replace(flagship_config(parity), strategy="picard", seed=seed, damping=damping,
-                  accel_depth=depth)
+    cfg = replace(flagship_config(parity), seed=seed, damping=damping, accel_depth=depth)
     columns, history = _replay_anderson(monkeypatch, picard_solve, cfg)
     assert history.resets > 0
     assert any(later < earlier for earlier, later in zip(columns, columns[1:])) == cut
@@ -438,12 +436,11 @@ def test_quartic_scaling_maps_the_whole_solve(parity, amplitude):
 
 
 @pytest.mark.parametrize("max_iter", [1, 3, 12])
-@pytest.mark.parametrize("strategy", ["picard", "newton", "hybrid"])
-def test_trace_stays_within_max_iter(strategy, max_iter):
+@EACH_ENTRY_POINT
+def test_trace_stays_within_max_iter(entry, max_iter):
     cfg = SolverConfig(grid=GridSpec.with_dealiasing(64, 16, 2.5), weight=WeightSpec(0.0),
-                       potential=QUARTIC, parity="odd", strategy=strategy,
-                       seed=(0.9, 1.0), max_iter=max_iter)
-    assert len(solve(cfg).trace) <= max_iter
+                       potential=QUARTIC, parity="odd", seed=(0.9, 1.0), max_iter=max_iter)
+    assert len(entry(cfg).trace) <= max_iter
 
 
 def test_ring_membership_at_high_frequency():
@@ -452,7 +449,7 @@ def test_ring_membership_at_high_frequency():
     # reported (every nontrivial fixed point provably sits at or above it)
     grid = GridSpec(64, 16, 130, math.sqrt(12.0))
     cfg = SolverConfig(grid=grid, weight=WeightSpec(0.0), potential=QUARTIC,
-                       parity="odd", strategy="hybrid", seed=(2.0, 1.5),
+                       parity="odd", seed=(2.0, 1.5),
                        max_iter=400)
     res = hybrid_solve(cfg)
     assert res.status == "converged"
@@ -473,7 +470,7 @@ def test_sweep_single_step_degenerates_to_solve(flagship_result):
 
 def test_sweep_monotone_norms_and_oracle_crosscheck():
     cfg = SolverConfig(grid=GridSpec(64, 16, 130, 2.6), weight=WeightSpec(0.0),
-                       potential=QUARTIC, parity="odd", strategy="hybrid",
+                       potential=QUARTIC, parity="odd",
                        seed=(0.8, 1.0), max_iter=400)
     results = continuation_sweep(cfg, 2.6, 2.1, 10)
     assert all(r.status == "converged" for r in results)
@@ -513,7 +510,7 @@ def test_sweep_bisects_a_failed_point(monkeypatch):
 
 def test_sweep_reports_resonant_points():
     cfg = SolverConfig(grid=GridSpec(32, 8, 66, 2.2), weight=WeightSpec(0.0),
-                       potential=QUARTIC, parity="odd", strategy="hybrid",
+                       potential=QUARTIC, parity="odd",
                        seed=(0.8, 1.0), max_iter=200)
     results = continuation_sweep(cfg, 2.2, 1.8, 5)
     assert len(results) == 5
@@ -539,7 +536,7 @@ def test_refine_identity_and_factor_two(flagship_result):
 def test_refine_rejects_unconverged():
     cfg = SolverConfig(grid=GridSpec(32, 8, 66, 2.5), weight=WeightSpec(0.0),
                        potential=PotentialSpec(), parity="odd",
-                       strategy="picard", seed=(0.5, 1.0), max_iter=20)
+                       seed=(0.5, 1.0), max_iter=20)
     res = picard_solve(cfg)
     with pytest.raises(ValueError):
         refine(res, 2)
@@ -553,8 +550,7 @@ def test_solved_field_is_on_the_config_grid_with_even_harmonics_zero(flagship_re
         assert np.any(result.field.coeffs[:, ::2] != 0.0)
 
 
-@pytest.mark.parametrize("entry", [picard_solve, newton_solve, hybrid_solve],
-                         ids=["picard", "newton", "hybrid"])
+@EACH_ENTRY_POINT
 def test_initial_field_is_projected_onto_the_half_wave_class(entry, flagship_result):
     cfg = replace(flagship_config("odd"), max_iter=3)
     noise = project_odd(random_field(cfg.grid, np.random.default_rng(7))).coeffs
@@ -564,3 +560,11 @@ def test_initial_field_is_projected_onto_the_half_wave_class(entry, flagship_res
                         for c in (flagship_result.field.coeffs, noisy))
     assert projected.trace == clean.trace
     assert np.array_equal(projected.field.coeffs, clean.field.coeffs)
+
+
+@EACH_ENTRY_POINT
+def test_initial_field_wider_than_the_grid_is_refused_by_name(entry):
+    cfg = flagship_config("odd")
+    wide = zero_field(GridSpec(96, 16, 130, cfg.grid.omega))
+    with pytest.raises(ValueError, match="a field of 96 sites on a 64-site grid"):
+        entry(cfg, wide)
