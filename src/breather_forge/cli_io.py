@@ -96,14 +96,8 @@ CONFIG_KEYS = (
     ConfigKey("solver.parity", "parity", None, "odd", "--parity",
               "odd: site-centred, even: bond-centred", lambda c: c.parity,
               choices=PARITIES),
-    ConfigKey("solver.damping", "damping", float, 0.5, "--damping",
-              "Picard damping in (0, 1]", lambda c: c.damping),
-    ConfigKey("solver.accel_depth", "accel_depth", int, 5, "--accel-depth",
-              "Anderson acceleration history length", lambda c: c.accel_depth),
     ConfigKey("solver.tol_residual", "tol_residual", float, 1e-10, "--tol-residual",
               "relative fixed-point residual to converge at", lambda c: c.tol_residual),
-    ConfigKey("solver.tol_zero", "tol_zero", float, 1e-8, None,
-              "X0 norm below which a solve has collapsed to zero", lambda c: c.tol_zero),
     ConfigKey("solver.max_iter", "max_iter", int, 500, "--max-iter",
               "outer iteration budget", lambda c: c.max_iter),
     ConfigKey("solver.seed_amplitude", "seed_amplitude", float, None, "--seed-amplitude",
@@ -115,6 +109,14 @@ CONFIG_KEYS = (
 )
 
 _BY_KEY = {row.key: row for row in CONFIG_KEYS}
+# Keys earlier versions wrote: the value every manifest of theirs echoes, which
+# the reader ignores, and why the key went.  Any other value is a ConfigError.
+RETIRED_KEYS = {
+    "solver.strategy": ("hybrid", "as every solve runs Picard then Newton"),
+    "solver.damping": ("0.5", "as Picard's damping is the constant solver.PICARD_DAMPING"),
+    "solver.accel_depth": ("5", "as Anderson's depth is the constant solver.ANDERSON_DEPTH"),
+    "solver.tol_zero": ("1e-08", "as the collapse norm is the constant solver.COLLAPSE_NORM"),
+}
 _TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
@@ -132,12 +134,7 @@ def _parse_lines(text: str) -> dict[str, object]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "omega":
             key = "grid.omega"  # bare alias for the one required key
-        if key == "solver.strategy":  # removed; earlier manifests echo its default
-            if value != "hybrid":
-                problems.append(f"line {lineno}: solver.strategy was removed, as every "
-                                f"solve runs Picard then Newton; got {value!r}")
-            continue
-        if key not in _BY_KEY:
+        if key not in _BY_KEY and key not in RETIRED_KEYS:
             problems.append(f"line {lineno}: unknown key {key!r}")
         elif key in entries:
             problems.append(f"line {lineno}: duplicate key {key!r}")
@@ -145,6 +142,11 @@ def _parse_lines(text: str) -> dict[str, object]:
             entries[key] = (value, lineno)
     values = {}
     for key, (value, lineno) in entries.items():
+        if key in RETIRED_KEYS:
+            echoed, reason = RETIRED_KEYS[key]
+            if value != echoed:
+                problems.append(f"line {lineno}: {key} was removed, {reason}; got {value!r}")
+            continue
         row = _BY_KEY[key]
         try:
             values[key] = row.parse(value)
@@ -172,10 +174,7 @@ def build_config(values: dict[str, object]) -> SolverConfig:
             weight=WeightSpec.for_parity(v.lam, v.parity),
             potential=PotentialSpec(cubic=v.cubic, quartic=v.quartic),
             parity=v.parity,
-            damping=v.damping,
-            accel_depth=v.accel_depth,
             tol_residual=v.tol_residual,
-            tol_zero=v.tol_zero,
             max_iter=v.max_iter,
             seed=(v.seed_amplitude, v.seed_width),
         )

@@ -3,7 +3,7 @@
 Zero is always a fixed point of S and, for homogeneous anharmonic forces,
 the radial direction at a nontrivial fixed point is expanding (S scales like
 amplitude**(alpha+1)), so plain damped iteration cannot settle on a breather
-by itself.  Every solve therefore runs damped Picard with optional Anderson
+by itself.  Every solve therefore runs damped Picard with Anderson
 residual acceleration to lock in the profile shape, then matrix-free Newton
 on F(x) = x - S(x), whose linear systems the module's own ``gmres`` solves
 in one Arnoldi cycle with scipy's arithmetic.  ``picard_solve`` and
@@ -29,6 +29,9 @@ from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec,
 from .validation import BoundsReport
 
 DIVERGENCE_NORM = 1e6
+COLLAPSE_NORM = 1e-8  # an X0 norm at or below this has collapsed to zero
+PICARD_DAMPING = 0.5  # theta of Picard's step x + theta * (P S(x) - x)
+ANDERSON_DEPTH = 5  # difference pairs in Anderson's history
 _EPS = float(np.finfo(float).eps)
 PICARD_TO_NEWTON_RESIDUAL = 1e-4
 # S(cx) = c**3 S(x) for the quartic force, so an iterate at half the norm of
@@ -53,22 +56,16 @@ class SolverConfig:
     weight: WeightSpec
     potential: PotentialSpec
     parity: str = "odd"
-    damping: float = 0.5
-    accel_depth: int = 5
     tol_residual: float = 1e-10
-    tol_zero: float = 1e-8
     max_iter: int = 500
     seed: tuple[float | None, float] = (None, 1.0)
 
     def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if not (0.0 < self.tol_residual < math.inf and 0.0 < self.tol_zero < math.inf):
-            raise ValueError("tolerances must be positive and finite")
-        if not all(math.isfinite(value) for value in self.seed if value is not None):
-            raise ValueError("seed amplitude and width must be finite")
-        if self.accel_depth < 0:
-            raise ValueError("accel_depth must be >= 0")
+        if not 0.0 < self.tol_residual < math.inf:
+            raise ValueError("tol_residual must be positive and finite")
+        amplitude, width = self.seed  # seed_field's rule, checked before any work
+        if not ((amplitude is None or 0.0 <= amplitude < math.inf) and 0.0 < width < math.inf):
+            raise ValueError("seed amplitude must be finite and >= 0, and width finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.parity not in PARITIES:
@@ -173,9 +170,9 @@ def _evaluate(config: SolverConfig, fld: SpectralField, trace: list,
     iterate's residual when the caller has computed it already.
     """
     norm = x0_norm(fld, config.weight)
-    if norm <= config.tol_zero or norm > DIVERGENCE_NORM:
+    if norm <= COLLAPSE_NORM or norm > DIVERGENCE_NORM:
         trace.append((len(trace), float("nan"), norm))
-        status = STATUS_COLLAPSED if norm <= config.tol_zero else STATUS_DIVERGED
+        status = STATUS_COLLAPSED if norm <= COLLAPSE_NORM else STATUS_DIVERGED
         return status, None, float("nan")
     if res_field is None:
         res_field = _residual(config, fld)
@@ -210,7 +207,8 @@ def _anderson_step(x_k: np.ndarray, f_k: np.ndarray, dx: np.ndarray, df: np.ndar
 def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
                   trace: list, stall_window: int = 8,
                   handover_residual: float | None = None) -> _Outcome:
-    """Damped/accelerated fixed-point iteration.
+    """Fixed-point iteration damped by ``PICARD_DAMPING`` and Anderson-accelerated
+    over ``ANDERSON_DEPTH`` difference pairs, both read at each call.
 
     A None status means a handover point was reached (residual below the
     handover threshold, stall, or budget); the best iterate seen is carried
@@ -221,7 +219,7 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
     """
     project = parity_projector(config.parity)
     x_field = project(start)
-    n, depth = x_field.coeffs.size, config.accel_depth
+    n, depth, theta = x_field.coeffs.size, ANDERSON_DEPTH, PICARD_DAMPING
     dx, df = np.empty((n, depth)), np.empty((n, depth))  # difference columns, oldest first
     used = 0
     x_prev = f_prev = None
@@ -249,15 +247,15 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
             np.subtract(x_vec, x_prev, out=dx[:, used - 1])
             np.subtract(f_vec, f_prev, out=df[:, used - 1])
         if used == depth:
-            new_vec = _anderson_step(x_vec, f_vec, dx, df, config.damping)
+            new_vec = _anderson_step(x_vec, f_vec, dx, df, theta)
         else:  # a C-contiguous copy, as BLAS takes a strided slice by another route
             new_vec = _anderson_step(x_vec, f_vec, dx[:, :used].copy(), df[:, :used].copy(),
-                                     config.damping)
+                                     theta)
         x_prev, f_prev = x_vec, f_vec
         if not np.all(np.isfinite(new_vec)) or \
                 np.linalg.norm(new_vec) > 1e3 * max(1.0, np.linalg.norm(x_vec)):
             # runaway extrapolation: fall back to the plain damped step
-            new_vec = x_vec + config.damping * f_vec
+            new_vec = x_vec + theta * f_vec
             used = 0
         x_field = project(_as_field(config.grid, new_vec))
     return _Outcome(None, best_field, best_res, best_field, best_res, best_norm)
@@ -507,7 +505,7 @@ def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
     # the budget of max_iter trace rows has some left.
     outer = min(60, config.max_iter - len(trace))
     if (out.status != STATUS_CONVERGED and out.best_residual < 1.0 and outer > 0
-            and out.best_norm > config.tol_zero):
+            and out.best_norm > COLLAPSE_NORM):
         out = _newton_phase(work, _radial_rescale(work, out.best_field), outer, trace)
     return _finalize(config, out, trace)
 

@@ -101,6 +101,53 @@ def test_strategy_flag_is_a_usage_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# each removed key with the value every manifest written before its removal echoes
+_RETIRED_LINES = {"solver.strategy": "hybrid", "solver.damping": "0.5",
+                  "solver.accel_depth": "5", "solver.tol_zero": "1e-08"}
+
+
+@pytest.mark.parametrize("key", _RETIRED_LINES)
+def test_parse_ignores_each_retired_line_earlier_manifests_echo(key):
+    assert parse_config(f"{FULL}{key} = {_RETIRED_LINES[key]}\n") == parse_config(FULL)
+    assert key not in serialize_config(parse_config(FULL))
+
+
+@pytest.mark.parametrize("key, value", [("solver.damping", "0.6"),
+                                        ("solver.damping", "0.50"),
+                                        ("solver.accel_depth", "3"),
+                                        ("solver.tol_zero", "1e-8")])
+def test_parse_rejects_another_value_of_a_retired_key_by_line(key, value):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"omega = 2.2\n{key} = {value}\n")
+    message = str(info.value)
+    assert message.startswith(f"line 2: {key} was removed, as ")
+    assert message.endswith(f"; got {value!r}") and message.count("line ") == 1
+
+
+@pytest.mark.parametrize("key", _RETIRED_LINES)
+def test_parse_rejects_a_repeated_retired_line(key):
+    line = f"{key} = {_RETIRED_LINES[key]}\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config("omega = 2.2\n" + line + line)
+    assert str(info.value) == f"line 3: duplicate key {key!r}"
+
+
+@pytest.mark.parametrize("argv", [["--damping", "0.5"], ["--accel-depth", "5"]], ids=" ".join)
+def test_retired_flags_are_usage_errors(argv, tmp_path):
+    assert run_command([*_FLAGSHIP_SOLVE, *argv, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_table_has_one_row_per_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Config format\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| [^|]+ \| (`--[a-z0-9-]+`|file only) \|",
+                      section, re.M)
+    assert rows == [(row.key, f"`{row.flag}`" if row.flag else "file only")
+                    for row in CONFIG_KEYS]
+    assert re.findall(r"\ball (\d+) in this order", section) == [str(len(CONFIG_KEYS))]
+
+
 def test_config_round_trip_fixpoint():
     config = parse_config(FULL)
     text = serialize_config(config)
@@ -115,10 +162,7 @@ def test_every_key_serialises_to_the_canonical_echo():
 solver.seed_width = 1.2
 solver.seed_amplitude = auto
 solver.max_iter = 400
-solver.tol_zero = 1e-9
 solver.tol_residual = 1E-10
-solver.accel_depth = 4
-solver.damping = .6
 solver.parity = even
 potential.quartic = 0
 potential.cubic = 0.25
@@ -137,10 +181,7 @@ weight.lambda = 0.1
 potential.cubic = 0.25
 potential.quartic = 0.0
 solver.parity = even
-solver.damping = 0.6
-solver.accel_depth = 4
 solver.tol_residual = 1e-10
-solver.tol_zero = 1e-09
 solver.max_iter = 400
 solver.seed_amplitude = auto
 solver.seed_width = 1.2
@@ -150,8 +191,7 @@ solver.seed_width = 1.2
 FLAG_VALUES = {
     "grid.n_sites": "40", "grid.n_harmonics": "10", "grid.n_time_samples": "90",
     "grid.omega": "2.35", "weight.lambda": "0.05", "potential.cubic": "0.3",
-    "potential.quartic": "0.7", "solver.parity": "even", "solver.damping": "0.4",
-    "solver.accel_depth": "3", "solver.tol_residual": "1e-9",
+    "potential.quartic": "0.7", "solver.parity": "even", "solver.tol_residual": "1e-9",
     "solver.max_iter": "300", "solver.seed_amplitude": "0.9", "solver.seed_width": "1.1",
 }
 
@@ -208,6 +248,8 @@ _FLAGSHIP_SOLVE = ["solve", "--omega", "2.2", "--quartic", "1"]
     [*_FLAGSHIP_SOLVE, "--seed-amplitude", "nan"],
     [*_FLAGSHIP_SOLVE, "--seed-amplitude", "inf"],
     [*_FLAGSHIP_SOLVE, "--seed-width", "inf"],
+    [*_FLAGSHIP_SOLVE, "--seed-width", "0"],
+    [*_FLAGSHIP_SOLVE, "--seed-amplitude", "-1"],
     [*_FLAGSHIP_SOLVE, "--tol-residual", "nan"],
     [*_FLAGSHIP_SOLVE, "--quartic", "nan"],
     [*_FLAGSHIP_SOLVE, "--quartic", "inf"],
@@ -476,23 +518,46 @@ def test_verify_passes_on_fresh_manifest(solved_dir, capsys):
     assert "reproducible_trace: PASS" in out
 
 
-def test_verify_passes_a_manifest_echoing_the_removed_strategy_key(solved_dir, tmp_path,
-                                                                  capsys):
-    # manifests written before the key's removal hold it right after solver.parity
+def _copy_solution(solved_dir, tmp_path, config_echo: str) -> str:
+    """The solved flagship's manifest, trace and spectrum in ``tmp_path``, the
+    manifest echoing ``config_echo``; returns the manifest path."""
     manifest = load_manifest(str(solved_dir / "manifest.json"))
-    echo = manifest["config_echo"]
-    parity_line = "solver.parity = odd\n"
-    assert echo.count(parity_line) == 1 and "strategy" not in echo
-    manifest["config_echo"] = echo.replace(parity_line,
-                                           parity_line + "solver.strategy = hybrid\n")
+    manifest["config_echo"] = config_echo
     (tmp_path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     for name in ("trace.csv", "spectrum.csv"):
         (tmp_path / name).write_bytes((solved_dir / name).read_bytes())
-    rc = run_command(["verify", "--manifest", str(tmp_path / "manifest.json")])
+    return str(tmp_path / "manifest.json")
+
+
+def test_verify_passes_a_manifest_echoing_the_removed_strategy_key(solved_dir, tmp_path,
+                                                                  capsys):
+    # manifests written before the keys' removal hold strategy, damping and
+    # accel_depth right after solver.parity, and tol_zero after tol_residual
+    echo = load_manifest(str(solved_dir / "manifest.json"))["config_echo"]
+    parity_line, tol_line = "solver.parity = odd\n", "solver.tol_residual = 1e-10\n"
+    assert echo.count(parity_line) == echo.count(tol_line) == 1
+    assert not any(key in echo for key in _RETIRED_LINES)
+    echo = echo.replace(parity_line, parity_line + "solver.strategy = hybrid\n"
+                        "solver.damping = 0.5\nsolver.accel_depth = 5\n")
+    echo = echo.replace(tol_line, tol_line + "solver.tol_zero = 1e-08\n")
+    rc = run_command(["verify", "--manifest", _copy_solution(solved_dir, tmp_path, echo)])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert len(lines) == 9 and all(line.startswith("CHECK ") and ": PASS (" in line
                                    for line in lines)
+
+
+def test_verify_refuses_an_unusable_seed_before_any_check(solved_dir, tmp_path, capsys):
+    echo = load_manifest(str(solved_dir / "manifest.json"))["config_echo"]
+    width_line = "solver.seed_width = 1.0\n"
+    assert echo.count(width_line) == 1
+    path = _copy_solution(solved_dir, tmp_path,
+                          echo.replace(width_line, "solver.seed_width = 0.0\n"))
+    rc = run_command(["verify", "--manifest", path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("config error: seed ")
 
 
 def test_verify_fails_a_record_that_does_not_solve_the_equation(tmp_path, capsys):

@@ -32,11 +32,18 @@ def test_config_validation():
     grid = GridSpec(64, 16, 130, 2.2)
     weight = WeightSpec(0.0)
     with pytest.raises(ValueError):
-        SolverConfig(grid=grid, weight=weight, potential=QUARTIC, damping=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(grid=grid, weight=weight, potential=QUARTIC, parity="none")
     with pytest.raises(ValueError):
         SolverConfig(grid=grid, weight=weight, potential=QUARTIC, tol_residual=0.0)
+
+
+@pytest.mark.parametrize("seed", [(-1.0, 1.0), (0.8, 0.0), (None, -1.0), (0.8, math.nan),
+                                  (math.inf, 1.0)])
+def test_config_rejects_a_seed_that_seed_field_refuses(seed):
+    # the config applies seed_field's rule, so a bad seed fails before any work
+    with pytest.raises(ValueError, match="seed amplitude"):
+        SolverConfig(grid=GridSpec(64, 16, 130, 2.2), weight=WeightSpec(0.0),
+                     potential=QUARTIC, seed=seed)
 
 
 def test_harmonic_potential_collapses():
@@ -45,7 +52,7 @@ def test_harmonic_potential_collapses():
                        seed=(0.5, 1.0), max_iter=50)
     result = picard_solve(cfg)
     assert result.status == "collapsed_to_zero"
-    assert result.x0_norm <= cfg.tol_zero
+    assert result.x0_norm <= solver_module.COLLAPSE_NORM
 
 
 def test_resonant_frequency_raises():
@@ -86,7 +93,7 @@ def test_picard_collapses_from_inside_seed():
 
 
 def test_picard_converges_from_outer_seed(flagship_result):
-    cfg = replace(flagship_config("odd"), accel_depth=3, damping=1.0, seed=(1.0, 1.0))
+    cfg = replace(flagship_config("odd"), seed=(1.0, 1.0))
     result = picard_solve(cfg)
     assert result.status == "converged"
     assert result.fp_residual <= 1e-10
@@ -201,9 +208,10 @@ def test_hybrid_picard_hands_over_at_radial_collapse():
 
 def _replay_anderson(monkeypatch, solve_fn, cfg) -> tuple[list[int], AndersonHistory]:
     """Solve, checking every Picard step bit for bit against the restacking
-    oracle fed the same iterates; returns each step's column count and the
-    oracle's history."""
-    history = AndersonHistory(cfg.accel_depth, cfg.damping)
+    oracle fed the same iterates, built from the solver's ANDERSON_DEPTH and
+    PICARD_DAMPING as they stand at the call; returns each step's column
+    count and the oracle's history."""
+    history = AndersonHistory(solver_module.ANDERSON_DEPTH, solver_module.PICARD_DAMPING)
     columns = []
     real_step = solver_module._anderson_step
 
@@ -224,8 +232,8 @@ def _replay_anderson(monkeypatch, solve_fn, cfg) -> tuple[list[int], AndersonHis
 @pytest.mark.parametrize("parity", ["odd", "even"])
 @pytest.mark.parametrize("solve_fn", [hybrid_solve, picard_solve], ids=["hybrid", "picard"])
 def test_anderson_steps_match_the_restacking_oracle(solve_fn, parity, depth, monkeypatch):
-    cfg = replace(flagship_config(parity), accel_depth=depth)
-    columns, history = _replay_anderson(monkeypatch, solve_fn, cfg)
+    monkeypatch.setattr(solver_module, "ANDERSON_DEPTH", depth)
+    columns, history = _replay_anderson(monkeypatch, solve_fn, flagship_config(parity))
     assert columns and max(columns) <= depth
     if solve_fn is picard_solve and depth > 0:
         assert history.trims > 0  # the history ran full and dropped its oldest pair
@@ -238,7 +246,9 @@ def test_anderson_steps_match_the_restacking_oracle(solve_fn, parity, depth, mon
 ])
 def test_anderson_history_resets_after_a_runaway_step(parity, seed, damping, depth, cut,
                                                        monkeypatch):
-    cfg = replace(flagship_config(parity), seed=seed, damping=damping, accel_depth=depth)
+    monkeypatch.setattr(solver_module, "PICARD_DAMPING", damping)
+    monkeypatch.setattr(solver_module, "ANDERSON_DEPTH", depth)
+    cfg = replace(flagship_config(parity), seed=seed)
     columns, history = _replay_anderson(monkeypatch, picard_solve, cfg)
     assert history.resets > 0
     assert any(later < earlier for earlier, later in zip(columns, columns[1:])) == cut
