@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field, replace
 from types import SimpleNamespace
 
@@ -34,6 +35,7 @@ PICARD_DAMPING = 0.5  # theta of Picard's step x + theta * (P S(x) - x)
 ANDERSON_DEPTH = 5  # difference pairs in Anderson's history
 _EPS = float(np.finfo(float).eps)
 PICARD_TO_NEWTON_RESIDUAL = 1e-4
+PICARD_STALL_ROWS = 8  # rows without a new best before a hybrid solve hands over
 # S(cx) = c**3 S(x) for the quartic force, so an iterate at half the norm of
 # Picard's best one is pulled further inward: a hybrid solve hands over there.
 PICARD_COLLAPSE_FRACTION = 0.5
@@ -205,23 +207,20 @@ def _anderson_step(x_k: np.ndarray, f_k: np.ndarray, dx: np.ndarray, df: np.ndar
 
 
 def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
-                  trace: list, stall_window: int = 8,
-                  handover_residual: float | None = None) -> _Outcome:
+                  trace: list, handover: bool = False) -> _Outcome:
     """Fixed-point iteration damped by ``PICARD_DAMPING`` and Anderson-accelerated
-    over ``ANDERSON_DEPTH`` difference pairs, both read at each call.
+    over the last ``ANDERSON_DEPTH`` difference pairs, both read at each call.
 
-    A None status means a handover point was reached (residual below the
-    handover threshold, stall, or budget); the best iterate seen is carried
-    along so a hybrid caller can pass it to Newton.  With a handover
-    threshold the phase also stops at radial collapse: the first row after
-    the best iterate whose X0 norm is below ``PICARD_COLLAPSE_FRACTION`` of
-    the best one's.
+    A None status means the budget ran out or, with ``handover``, a handover
+    point was reached: a residual at or below ``PICARD_TO_NEWTON_RESIDUAL``, a
+    stall of ``PICARD_STALL_ROWS`` rows without a new best, or radial collapse,
+    the first row after the best iterate whose X0 norm is below
+    ``PICARD_COLLAPSE_FRACTION`` of the best one's.  The best iterate seen is
+    carried along so a hybrid caller can pass it to Newton.
     """
     project = parity_projector(config.parity)
     x_field = project(start)
-    n, depth, theta = x_field.coeffs.size, ANDERSON_DEPTH, PICARD_DAMPING
-    dx, df = np.empty((n, depth)), np.empty((n, depth))  # difference columns, oldest first
-    used = 0
+    history = deque(maxlen=ANDERSON_DEPTH)  # (dx, df) difference pairs, oldest first
     x_prev = f_prev = None
     best_field, best_res, best_norm = x_field, float("inf"), 0.0
     since_best = 0
@@ -232,31 +231,23 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
             best_field, best_res, best_norm, since_best = x_field, fp_res, norm, 0
         else:
             since_best += 1
-        if (status is not None or since_best >= stall_window
-                or (handover_residual is not None
-                    and (fp_res <= handover_residual
-                         or norm < PICARD_COLLAPSE_FRACTION * best_norm))):
+        if status is not None or (handover and (
+                fp_res <= PICARD_TO_NEWTON_RESIDUAL or since_best >= PICARD_STALL_ROWS
+                or norm < PICARD_COLLAPSE_FRACTION * best_norm)):
             return _Outcome(status, x_field, fp_res, best_field, best_res, best_norm)
         x_vec, f_vec = x_field.coeffs.ravel(), res_field.coeffs.ravel()
-        if x_prev is not None and depth > 0:
-            if used == depth:  # drop the oldest pair
-                dx[:, :-1] = dx[:, 1:]
-                df[:, :-1] = df[:, 1:]
-            else:
-                used += 1
-            np.subtract(x_vec, x_prev, out=dx[:, used - 1])
-            np.subtract(f_vec, f_prev, out=df[:, used - 1])
-        if used == depth:
-            new_vec = _anderson_step(x_vec, f_vec, dx, df, theta)
-        else:  # a C-contiguous copy, as BLAS takes a strided slice by another route
-            new_vec = _anderson_step(x_vec, f_vec, dx[:, :used].copy(), df[:, :used].copy(),
-                                     theta)
+        if x_prev is not None:
+            history.append((x_vec - x_prev, f_vec - f_prev))
+        # stacked C-contiguous each row: BLAS takes a strided matrix by another route
+        dx, df = ((np.stack(cols, axis=1) for cols in zip(*history)) if history
+                  else (np.empty((x_vec.size, 0)),) * 2)
+        new_vec = _anderson_step(x_vec, f_vec, dx, df, PICARD_DAMPING)
         x_prev, f_prev = x_vec, f_vec
         if not np.all(np.isfinite(new_vec)) or \
                 np.linalg.norm(new_vec) > 1e3 * max(1.0, np.linalg.norm(x_vec)):
             # runaway extrapolation: fall back to the plain damped step
-            new_vec = x_vec + theta * f_vec
-            used = 0
+            new_vec = x_vec + PICARD_DAMPING * f_vec
+            history.clear()
         x_field = project(_as_field(config.grid, new_vec))
     return _Outcome(None, best_field, best_res, best_field, best_res, best_norm)
 
@@ -449,12 +440,12 @@ def picard_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
 
     Terminates with one of the four statuses; a converged result is
     nontrivial by construction (collapse to the zero fixed point is reported
-    separately).
+    separately).  It runs without handover, so without a stall exit.
     """
     work = _working_config(config)
     trace: list[tuple[int, float, float]] = []
     return _finalize(config, _picard_phase(work, _start(work, initial), config.max_iter,
-                                           trace, stall_window=config.max_iter), trace)
+                                           trace), trace)
 
 
 def newton_solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
@@ -487,17 +478,16 @@ def _radial_rescale(config: SolverConfig, fld: SpectralField) -> SpectralField:
 def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
     """Picard to lock the shape, Newton to polish.
 
-    Picard hands over once its residual is below 1e-4, it stalls (8 rows
-    without a new best), it collapses radially (a later row's X0 norm below
-    half the best iterate's) or it exhausts a fraction of the iteration
-    budget; Newton then starts from the best iterate seen, radially
-    rebalanced onto its own fixed-point ray.
+    Picard runs with ``handover``: it hands over at a residual of 1e-4 or
+    less, a stall (8 rows without a new best) or radial collapse (a later
+    row's X0 norm below half the best iterate's), or after a fraction of the
+    iteration budget; Newton then starts from the best iterate seen,
+    radially rebalanced onto its own fixed-point ray.
     """
     work = _working_config(config)
     trace: list[tuple[int, float, float]] = []
     picard_budget = min(config.max_iter, max(10, min(100, config.max_iter // 2)))
-    out = _picard_phase(work, _start(work, initial), picard_budget, trace,
-                        handover_residual=PICARD_TO_NEWTON_RESIDUAL)
+    out = _picard_phase(work, _start(work, initial), picard_budget, trace, handover=True)
     # Picard sliding into the zero basin or running away does not end a
     # hybrid solve: Newton is attempted from the best iterate whenever that
     # iterate still carries a nontrivial shape (a strict residual below 1

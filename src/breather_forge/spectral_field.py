@@ -293,7 +293,8 @@ def seed_field(grid: GridSpec, parity: str, amplitude: float, width: float) -> S
     if amplitude < 0.0 or width <= 0.0:
         raise ValueError("seed amplitude must be >= 0 and width > 0")
     center = parity_center(parity)
-    profile = amplitude / np.cosh(width * (grid.sites - center))
+    with np.errstate(over="ignore"):  # cosh = inf far out: the seed's exact limit 0.0
+        profile = amplitude / np.cosh(width * (grid.sites - center))
     if parity == "even":
         profile = profile * np.sign(grid.sites - center)
     coeffs = np.zeros(grid.shape)

@@ -15,7 +15,7 @@ import numpy as np
 from .lattice_model import PotentialSpec, eval_potential, force, growth_bound
 from .operators import apply_M, apply_N
 # synthesize is unused here but stays: bench/tracing.py wraps validation.synthesize
-from .spectral_field import (SpectralField, WeightSpec, max_amplitude_profile,
+from .spectral_field import (SpectralField, WeightOverflowError, WeightSpec, max_amplitude_profile,
                              parity_center, parity_projector, synthesize, x0_norm)
 
 
@@ -70,7 +70,11 @@ def bounds_report(omega: float, weight: WeightSpec, potential: PotentialSpec,
     if kbar == 0.0:
         # harmonic limit: the envelope constant vanishes and both radii diverge
         return BoundsReport(math.inf, math.inf, nonres0, nonres0, None, x0_norm_value)
-    coupling = kbar * math.sqrt(2.0 * (1.0 + math.cosh(weight.lam)))
+    try:
+        coupling = kbar * math.sqrt(2.0 * (1.0 + math.cosh(weight.lam)))
+    except OverflowError:
+        raise WeightOverflowError(f"weight overflow: cosh(lambda) exceeds the double range "
+                                  f"at lambda = {weight.lam!r}") from None
     nonres = omega**2 > 4.0 + coupling
     base = (omega**2 - 4.0) / coupling
     r_max = base ** (1.0 / alpha) if base > 0.0 else 0.0

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import breather_forge
-from breather_forge import Multiplier, cli_io, decay_rate_fit, solver, synthesize
+from breather_forge import (Multiplier, cli_io, decay_rate_fit, operators, solver,
+                            spectral_field, synthesize)
 from breather_forge.cli_io import (CONFIG_KEYS, ConfigError, ConfigWarning,
                                    _TRACE_HEADER, _build_parser, _config_from_args,
                                    _csv_text, field_from_spectrum_csv, load_manifest,
@@ -257,6 +258,7 @@ _FLAGSHIP_SOLVE = ["solve", "--omega", "2.2", "--quartic", "1"]
     ["bounds", "--omega", "nan", "--quartic", "1"],
     ["bounds", "--omega", "4", "--quartic", "1", "--x0-norm", "nan"],
     ["bounds", "--omega", "4", "--quartic", "1", "--x0-norm", "inf"],
+    ["bounds", "--omega", "2.2", "--quartic", "1", "--lambda", "800"],  # cosh(800) = inf
 ], ids=" ".join)
 def test_non_finite_number_exits_one_before_any_work(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # solve's default --out is ./out
@@ -516,6 +518,22 @@ def test_verify_passes_on_fresh_manifest(solved_dir, capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert "reproducible_trace: PASS" in out
+
+
+def test_verify_bounds_the_operator_norm_without_random_probes(solved_dir, monkeypatch,
+                                                               capsys):
+    def no_random_field(*args):
+        raise AssertionError("verify drew a random field")
+
+    monkeypatch.setattr(spectral_field, "random_field", no_random_field)
+    monkeypatch.setattr(operators, "random_field", no_random_field)
+    rc = run_command(["verify", "--manifest", str(solved_dir / "manifest.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert len(lines) == 9 and all(line.startswith("CHECK ") and ": PASS (" in line
+                                   for line in lines)
+    assert "CHECK operator_norm_bound: PASS (min |nu| 0.8400000000000007 vs " \
+        "omega^2 - 4 0.8400000000000007)" in lines
 
 
 def _copy_solution(solved_dir, tmp_path, config_echo: str) -> str:

@@ -17,8 +17,8 @@ from breather_forge import (GridSpec, PotentialSpec, ResonanceError,
                             refine, solve, synthesize,
                             time_means, x0_norm, zero_field)
 from breather_forge import solver as solver_module
-from breather_forge.solver import (PICARD_COLLAPSE_FRACTION, PICARD_TO_NEWTON_RESIDUAL,
-                                    _picard_phase, _working_config, build_seed)
+from breather_forge.solver import (PICARD_COLLAPSE_FRACTION, _picard_phase,
+                                    _working_config, build_seed)
 
 from conftest import QUARTIC, flagship_config
 from oracles import (AndersonHistory, central_block, profile_at_t0, shooting_orbit,
@@ -194,8 +194,7 @@ def test_hybrid_picard_hands_over_at_radial_collapse():
     cfg = flagship_config("odd")
     work = _working_config(cfg)
     trace = []
-    out = _picard_phase(work, build_seed(work), 100, trace,
-                        handover_residual=PICARD_TO_NEWTON_RESIDUAL)
+    out = _picard_phase(work, build_seed(work), 100, trace, handover=True)
     best = min(range(len(trace)), key=lambda i: trace[i][1])
     collapsed = [i for i in range(best + 1, len(trace))
                  if trace[i][2] < PICARD_COLLAPSE_FRACTION * trace[best][2]]

@@ -295,3 +295,13 @@ def test_seed_even_pair_structure():
     assert cm1 == -c0
     projected = project_even(field)
     assert np.max(np.abs(projected.coeffs - field.coeffs)) <= 1e-14
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_seed_on_a_wide_lattice_is_exactly_zero_where_cosh_overflows(parity):
+    # cosh(n) overflows for |n| > 710; the suite turns the overflow warning into an error
+    grid = GridSpec.with_dealiasing(1600, 4, 2.2)
+    field = seed_field(grid, parity, 0.8, 1.0)
+    far = np.abs(grid.sites - spectral_field.parity_center(parity)) > 711.0
+    assert far.any() and np.all(field.coeffs[far] == 0.0)
+    assert np.all(np.isfinite(field.coeffs)) and np.max(np.abs(field.coeffs)) > 0.0
