@@ -164,9 +164,9 @@ def _evaluate(config: SolverConfig, fld: SpectralField, trace: list,
 
     The status is collapse or divergence by the X0 norm (no residual then,
     and a nan row), converged, or None while iteration should go on.  A
-    converged field also meets the strong-residual limit ``verify`` applies
-    (``validation.strong_residual_limit``): a fixed-point residual below tol
-    does not always imply it, because the two norms weigh the harmonics
+    converged field also passes ``validation.strong_residual_check``, the
+    row ``verify`` prints as ``strong_residual``: a fixed-point residual below
+    tol does not always imply it, because the two norms weigh the harmonics
     differently, and a Newton step that lands just under tol has been
     measured at 11 times tol in the strong form.  ``res_field`` is the
     iterate's residual when the caller has computed it already.
@@ -180,11 +180,10 @@ def _evaluate(config: SolverConfig, fld: SpectralField, trace: list,
         res_field = _residual(config, fld)
     fp_res = x0_norm(res_field, config.weight) / norm
     trace.append((len(trace), fp_res, norm))
-    converged = (fp_res <= config.tol_residual
-                 and validation.strong_residual(fld, config.potential, config.weight)
-                 <= validation.strong_residual_limit(config.tol_residual,
-                                                     x2_norm(fld, config.weight)))
-    return (STATUS_CONVERGED if converged else None), res_field, fp_res
+    if fp_res <= config.tol_residual:
+        _, strong, limit = validation.strong_residual_check(fld, config)
+        return (STATUS_CONVERGED if strong <= limit else None), res_field, fp_res
+    return None, res_field, fp_res
 
 
 def _anderson_step(x_k: np.ndarray, f_k: np.ndarray, dx: np.ndarray, df: np.ndarray,

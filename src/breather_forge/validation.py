@@ -1,8 +1,8 @@
-"""Independent verification: theorem-style bounds, decay fits, time integration.
+"""Independent verification: the check table, bounds, decay fits, time integration.
 
 Everything here checks a computed field by a route that does not share code
-with the fixed-point iteration: closed-form bound arithmetic, least-squares
-tail fits, and symplectic integration of the lattice equations of motion.
+with the fixed-point iteration: the check table, closed-form bound arithmetic,
+least-squares tail fits, and symplectic integration of the lattice equations.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ import numpy as np
 
 from .lattice_model import PotentialSpec, eval_potential, force, growth_bound
 from .operators import apply_M, apply_N
-# synthesize is unused here but stays: bench/tracing.py wraps validation.synthesize
 from .spectral_field import (SpectralField, WeightOverflowError, WeightSpec, max_amplitude_profile,
-                             parity_center, parity_projector, synthesize, x0_norm)
+                             parity_center, parity_projector, synthesize, x0_norm, x2_norm)
+
+X0_NORM_RTOL = 1e-12  # verify's limits on a stored X0 norm, and on stored r_max and r_crit
+BOUNDS_RTOL = 1e-14
 
 
 class InsufficientTailError(ValueError):
@@ -63,15 +65,16 @@ def bounds_report(omega: float, weight: WeightSpec, potential: PotentialSpec,
     """
     if not 0.0 < omega < math.inf:
         raise ValueError("omega must be positive and finite")
-    if not math.isfinite(x0_norm_value):
-        raise ValueError("x0_norm must be finite")
+    if not 0.0 <= x0_norm_value < math.inf:
+        raise ValueError("x0_norm must be finite and >= 0")
     kbar, alpha = growth_bound(potential)
     nonres0 = omega**2 > 4.0
     if kbar == 0.0:
         # harmonic limit: the envelope constant vanishes and both radii diverge
         return BoundsReport(math.inf, math.inf, nonres0, nonres0, None, x0_norm_value)
     try:
-        coupling = kbar * math.sqrt(2.0 * (1.0 + math.cosh(weight.lam)))
+        # sqrt(2 (1 + cosh)) to the bit, but 2 (1 + cosh) overflows where cosh does not
+        coupling = kbar * (2.0 * math.sqrt(0.5 * (1.0 + math.cosh(weight.lam))))
     except OverflowError:
         raise WeightOverflowError(f"weight overflow: cosh(lambda) exceeds the double range "
                                   f"at lambda = {weight.lam!r}") from None
@@ -136,11 +139,6 @@ def strong_residual(field: SpectralField, spec: PotentialSpec,
     return x0_norm(field.with_coeffs(diff), weight)
 
 
-def strong_residual_limit(tol_residual: float, x2: float) -> float:
-    """Largest strong residual of a converged field, 10 tol ||u||_X2; x2 is ||u||_X2."""
-    return 10.0 * tol_residual * x2
-
-
 def boundary_floor(field: SpectralField) -> float:
     """Edge-to-peak amplitude ratio; the lattice must be long enough that
     this stays below 1e-10 for a trustworthy periodic truncation."""
@@ -149,6 +147,24 @@ def boundary_floor(field: SpectralField) -> float:
     if peak == 0.0:
         return 0.0
     return float(max(amp[0], amp[-1]) / peak)
+
+
+def strong_residual_check(field: SpectralField, config) -> tuple[str, float, float]:
+    """solution_checks' strong-form row: the strong residual against 10 tol ||u||_X2."""
+    return ("strong_residual", strong_residual(field, config.potential, config.weight),
+            10.0 * config.tol_residual * x2_norm(field, config.weight))
+
+
+def solution_checks(field: SpectralField, config) -> list[tuple[str, float, float]]:
+    """The check table's (name, value, limit) rows that read only a field and its
+    SolverConfig; a row passes when value <= limit, so a nan value fails."""
+    samples = synthesize(field)
+    peak = float(np.max(np.abs(samples))) or 1.0  # the time means' scale
+    rel_dev = parity_deviation(field, config.parity, config.weight, x0_norm(field, config.weight))
+    return [("parity_relation", rel_dev, 1e-12),
+            ("zero_time_mean", float(np.max(np.abs(samples.mean(axis=1)))), 1e-13 * peak),
+            strong_residual_check(field, config),
+            ("boundary_floor", boundary_floor(field), 1e-10)]
 
 
 def _periodic_momenta(y: np.ndarray) -> np.ndarray:

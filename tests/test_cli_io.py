@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import breather_forge
 from breather_forge import (Multiplier, cli_io, decay_rate_fit, operators, solver,
-                            spectral_field, synthesize)
+                            spectral_field, synthesize, validation, x0_norm)
 from breather_forge.cli_io import (CONFIG_KEYS, ConfigError, ConfigWarning,
                                    _TRACE_HEADER, _build_parser, _config_from_args,
                                    _csv_text, field_from_spectrum_csv, load_manifest,
@@ -258,6 +259,7 @@ _FLAGSHIP_SOLVE = ["solve", "--omega", "2.2", "--quartic", "1"]
     ["bounds", "--omega", "nan", "--quartic", "1"],
     ["bounds", "--omega", "4", "--quartic", "1", "--x0-norm", "nan"],
     ["bounds", "--omega", "4", "--quartic", "1", "--x0-norm", "inf"],
+    ["bounds", "--omega", "4", "--quartic", "1", "--x0-norm", "-1"],  # a norm is >= 0
     ["bounds", "--omega", "2.2", "--quartic", "1", "--lambda", "800"],  # cosh(800) = inf
 ], ids=" ".join)
 def test_non_finite_number_exits_one_before_any_work(argv, tmp_path, monkeypatch, capsys):
@@ -590,6 +592,99 @@ def test_verify_fails_a_record_that_does_not_solve_the_equation(tmp_path, capsys
     assert len(lines) == 9 and all(line.startswith("CHECK ") for line in lines)
     assert [line.split(":")[0] for line in lines if ": FAIL" in line] == [
         "CHECK strong_residual"]
+
+
+def _edit_manifest(change):
+    def edit(record):
+        manifest = load_manifest(str(record / "manifest.json"))
+        change(manifest)
+        (record / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    return edit
+
+
+def _scale_spectrum(factor, site=None):
+    """An edit scaling the (site, m=1) cell of spectrum.csv, or every cell if
+    site is None, by factor; the manifest stores the edited field's X0 norm."""
+    def edit(record):
+        lines = (record / "spectrum.csv").read_text().splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            n, m, re_part, im_part = line.split(",")
+            if site is None or (n, m) == (str(site), "1"):
+                lines[i] = ",".join([n, m, repr(float(re_part) * factor), im_part])
+        (record / "spectrum.csv").write_text("\r\n".join(lines) + "\r\n")
+        manifest = load_manifest(str(record / "manifest.json"))
+        config = parse_config(manifest["config_echo"])
+        field = field_from_spectrum_csv(str(record / "spectrum.csv"), config.grid)
+        manifest["result"]["x0_norm"] = x0_norm(field, config.weight)
+        (record / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    return edit
+
+
+def _edit_trace_row(record):
+    lines = (record / "trace.csv").read_text().splitlines()
+    cells = lines[4].split(",")  # iter 3
+    cells[1] = repr(float(cells[1]) * 2.0)
+    lines[4] = ",".join(cells)
+    (record / "trace.csv").write_text("\r\n".join(lines) + "\r\n")
+
+
+def _solve_cold_at_the_band_edge(record):
+    # N = 96 holds the Omega = 2.05 breather's core but not its tail: edge/peak 2.5e-9
+    shutil.rmtree(record)
+    assert run_command(["solve", "--omega", "2.05", "--quartic", "1", "--n-sites", "96",
+                        "--out", str(record)]) == 0
+
+
+# the rows whose detail is a message, not '<value> vs limit <limit>'
+_MESSAGE_ROWS = ("schema_version", "operator_norm_bound", "reproducible_trace")
+
+
+@pytest.mark.parametrize("row, edit", [
+    ("schema_version", _edit_manifest(lambda m: m.update(schema_version=2))),
+    ("x0_norm_matches", _edit_manifest(
+        lambda m: m["result"].update(x0_norm=m["result"]["x0_norm"] * (1.0 + 1e-9)))),
+    ("x0_norm_matches", _edit_manifest(lambda m: m["result"].update(x0_norm=None))),
+    ("parity_relation", _scale_spectrum(1.0 + 1e-9, site=1)),
+    ("strong_residual", _scale_spectrum(1.0 + 1e-6)),
+    ("boundary_floor", _solve_cold_at_the_band_edge),
+    ("bounds_arithmetic", _edit_manifest(
+        lambda m: m["bounds"].update(r_max=m["bounds"]["r_max"] * (1.0 + 1e-12)))),
+    ("reproducible_trace", _edit_trace_row),
+], ids=["schema_version", "x0_norm_perturbed", "x0_norm_null", "parity_relation",
+        "strong_residual", "boundary_floor", "bounds_arithmetic", "reproducible_trace"])
+def test_each_check_has_a_record_that_fails_it_alone(row, edit, solved_dir, tmp_path, capsys):
+    record = tmp_path / "record"
+    shutil.copytree(solved_dir, record)
+    edit(record)
+    capsys.readouterr()
+    rc = run_command(["verify", "--manifest", str(record / "manifest.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert len(lines) == 9 and all(line.startswith("CHECK ") for line in lines)
+    assert [line.split(":")[0] for line in lines if ": FAIL (" in line] == [f"CHECK {row}"]
+    for line in lines:
+        name, verdict = re.fullmatch(r"CHECK (\w+): (PASS|FAIL) \(.*\)", line).groups()
+        if name not in _MESSAGE_ROWS:
+            value, limit = map(float, re.fullmatch(
+                r"CHECK \w+: \w+ \((\S+) vs limit (\S+)\)", line).groups())
+            assert (value <= limit) == (verdict == "PASS"), line
+
+
+def test_the_solver_gate_and_verify_read_the_same_strong_residual_row(solved_dir, monkeypatch,
+                                                                      capsys):
+    def failing_row(field, config):
+        return "strong_residual", math.inf, 0.0
+
+    monkeypatch.setattr(validation, "strong_residual_check", failing_row)
+    rc = run_command(["verify", "--manifest", str(solved_dir / "manifest.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    # the re-solve never converges either, so its trace runs past the stored one
+    assert [line.split(":")[0] for line in lines if ": FAIL (" in line] == [
+        "CHECK strong_residual", "CHECK reproducible_trace"]
+    assert "CHECK strong_residual: FAIL (inf vs limit 0.0)" in lines
+    config = parse_config(load_manifest(str(solved_dir / "manifest.json"))["config_echo"])
+    assert solver.solve(config).status == solver.STATUS_MAX_ITER
 
 
 @pytest.mark.parametrize("parity, reference", [("odd", 0.8608563553), ("even", 0.8609909344)])

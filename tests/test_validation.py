@@ -58,6 +58,14 @@ def test_bounds_agree_with_direct_formula_on_grid():
             assert report.r_crit == pytest.approx(base ** (1.0 / 3.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("lam", [709.9, 710.4])
+def test_bounds_stay_positive_where_cosh_is_finite(lam):
+    # cosh(lam) is finite here, but 2 (1 + cosh(lam)) is not
+    assert math.isinf(2.0 * (1.0 + math.cosh(lam)))
+    report = bounds_report(2.2, WeightSpec(lam), QUARTIC, 0.0)
+    assert 0.0 < report.r_max < math.inf and 0.0 < report.r_crit < math.inf
+
+
 def test_bounds_reject_mixed_potential():
     with pytest.raises(MixedPotentialError):
         bounds_report(3.0, WeightSpec(0.0), PotentialSpec(cubic=1.0, quartic=1.0), 0.0)
