@@ -4,7 +4,7 @@ exponentially localised, time-periodic lattice breathers."""
 from .lattice_model import (MixedPotentialError, PotentialSpec, dispersion,
                             eval_potential, growth_bound)
 from .operators import (Multiplier, ResonanceError, apply_M, apply_M_inverse,
-                        apply_M_via_multiplier, apply_N, apply_S, linearize_S,
+                        apply_M_via_multiplier, apply_N, apply_S, band_gap, linearize_S,
                         probe_operator_norm)
 from .solver import (BreatherResult, SolverConfig, UnsupportedPotentialError,
                      continuation_sweep, hybrid_solve, newton_solve, picard_solve,

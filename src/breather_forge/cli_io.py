@@ -7,7 +7,7 @@ manifest alone; numeric tables go to RFC-4180-style CSV files next to it.
 
 Exit codes: 0 converged/complete, 1 usage/parse/verification errors,
 2 solver finished without a nontrivial solution (collapse, divergence,
-iteration budget), 3 resonance or precondition failures.
+iteration budget), 3 resonance or precondition failures (see ``EXIT_TABLE``).
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import numpy as np
 from . import validation
 from .lattice_model import MixedPotentialError, PotentialSpec
 # probe_operator_norm, synthesize, x2_norm: unused here, but bench/tracing.py's _TARGETS wrap them
-from .operators import Multiplier, ResonanceError, probe_operator_norm
-from .solver import (BreatherResult, SolverConfig, STATUS_CONVERGED, STATUS_RESONANCE,
-                     UnsupportedPotentialError, continuation_sweep, solve)
+from .operators import Multiplier, ResonanceError, band_gap, probe_operator_norm
+from .solver import (BreatherResult, SolverConfig, STATUS_CONVERGED, UnsupportedPotentialError,
+                     continuation_sweep, solve)
 from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec, max_amplitude_profile,
                              parity_center, synthesize, x0_norm, x2_norm)
 
@@ -180,10 +180,11 @@ def build_config(values: dict[str, object]) -> SolverConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if config.grid.omega**2 <= 4.0:
-        warnings.warn(
-            f"omega^2 = {config.grid.omega**2:.6g} does not clear the phonon band edge 4; "
-            "solving will fail with a resonance error", ConfigWarning, stacklevel=2)
+    try:
+        band_gap(config.grid.omega)
+    except ResonanceError as exc:
+        warnings.warn(f"{exc}; solving will fail with a resonance error",
+                      ConfigWarning, stacklevel=2)
     return config
 
 
@@ -371,10 +372,6 @@ def _printing_warnings(build: Callable[..., SolverConfig], source) -> SolverConf
     return config
 
 
-def _status_exit(status: str) -> int:
-    return {STATUS_CONVERGED: 0, STATUS_RESONANCE: 3}.get(status, 2)
-
-
 def _cmd_solve(args) -> int:
     config = _config_from_args(args)
     if args.integrate_periods:
@@ -397,12 +394,13 @@ def _cmd_solve(args) -> int:
         print(f"r_max = {result.bounds.r_max!r}")
         print(f"r_crit = {result.bounds.r_crit!r}")
     print(f"manifest = {manifest_path}")
-    return _status_exit(result.status)
+    return 0 if result.status == STATUS_CONVERGED else 2  # a resonance raises instead
 
 
 def _cmd_sweep(args) -> int:
-    if args.omega is None:
-        args.omega = args.omega_from
+    if args.omega is not None:
+        raise ValueError("sweep takes --omega-from and --omega-to, not --omega")
+    args.omega = args.omega_from
     config = _config_from_args(args)
     results = continuation_sweep(config, args.omega_from, args.omega_to, args.steps)
     os.makedirs(args.out, exist_ok=True)
@@ -465,12 +463,11 @@ def _verify_checks(manifest: dict, manifest_dir: str, config: SolverConfig,
     for name, value, limit in rows:
         yield name, value <= limit, f"{value!r} vs limit {limit!r}"
 
-    if grid.omega**2 > 4.0:
-        # ||M^{-1}|| on X0 is 1 / min |nu| over the grid's (m, k) table
-        min_nu, gap = float(np.min(np.abs(Multiplier.build(grid).table))), grid.omega**2 - 4.0
+    try:  # ||M^{-1}|| on X0 is 1 / min |nu| over the grid's (m, k) table
+        gap, min_nu = band_gap(grid.omega), float(np.min(np.abs(Multiplier.build(grid).table)))
         ok, detail = min_nu >= gap, f"min |nu| {min_nu!r} vs omega^2 - 4 {gap!r}"
-    else:
-        ok, detail = False, f"omega^2 = {grid.omega**2:.6g} does not clear the phonon band edge 4"
+    except ResonanceError as exc:
+        ok, detail = False, str(exc)
     yield "operator_norm_bound", ok, detail
 
     try:
@@ -505,12 +502,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_integrate(args) -> int:
     _, manifest_dir, config, field = _read_solution(args.manifest)
-    try:
-        report = validation.integrate_trajectory(field, config.potential,
-                                                 args.periods, args.steps_per_period)
-    except validation.BlowUpError as exc:
-        print(f"trajectory blow-up: {exc}", file=sys.stderr)
-        return 3
+    report = validation.integrate_trajectory(field, config.potential,
+                                             args.periods, args.steps_per_period)
     out_dir = args.out or manifest_dir
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "trajectory.json"),
@@ -529,12 +522,8 @@ def _cmd_bounds(args) -> int:
         return 1
     potential = PotentialSpec(cubic=args.cubic or 0.0,
                               quartic=args.quartic if args.quartic is not None else args.beta or 0.0)
-    try:
-        report = validation.bounds_report(omega, WeightSpec(args.lam or 0.0),
-                                          potential, args.x0_norm or 0.0)
-    except MixedPotentialError as exc:
-        print(f"bounds: {exc}", file=sys.stderr)
-        return 3
+    report = validation.bounds_report(omega, WeightSpec(args.lam or 0.0),
+                                      potential, args.x0_norm or 0.0)
     for key in ("r_max", "r_crit", "nonres0_ok", "nonres_ok"):
         print(f"{key} = {getattr(report, key)!r}")
     if args.x0_norm is not None:
@@ -600,6 +589,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (error, exit code, stderr prefix); the first row an error is an instance of wins
+EXIT_TABLE = (
+    (ConfigError, 1, "config error"),
+    (ResonanceError, 3, "resonance"),
+    (UnsupportedPotentialError, 3, "precondition"),
+    (MixedPotentialError, 3, "bounds"),
+    (validation.BlowUpError, 3, "trajectory blow-up"),
+    (ValueError, 1, "error"),  # out-of-range values outside the config, such as sweep --steps 0
+    (OSError, 1, "io error"),
+)
+
+
 def run_command(argv) -> int:
     """Parse argv and dispatch; returns the process exit code."""
     parser = _build_parser()
@@ -609,22 +610,10 @@ def run_command(argv) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ResonanceError as exc:
-        print(f"resonance: {exc}", file=sys.stderr)
-        return 3
-    except UnsupportedPotentialError as exc:
-        print(f"precondition: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        # out-of-range values outside the config, such as sweep --steps 0
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 1
+    except tuple(row[0] for row in EXIT_TABLE) as exc:
+        code, prefix = next(row[1:] for row in EXIT_TABLE if isinstance(exc, row[0]))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

@@ -2,8 +2,9 @@
 
 M(u)_n = u''_n - [u_{n+1} - 2 u_n + u_{n-1}] acts diagonally on space-time
 Fourier modes with eigenvalue nu_m(k) = -Om^2 m^2 + 4 sin^2(k/2).  Above the
-phonon band (Om^2 > 4) every eigenvalue is negative and bounded away from
-zero by Om^2 - 4, so M inverts by spectral division.  N applies the
+phonon band every eigenvalue is negative and bounded away from zero by the
+gap Om^2 - 4, so M inverts by spectral division; ``band_gap`` is the one
+rule for "above", a gap of at least ``RESONANCE_FLOOR``.  N applies the
 second-difference stencil to W'(u) on a dealiased collocation grid, and the
 breather fixed-point map is S = M^{-1} o N.
 
@@ -36,6 +37,14 @@ class ResonanceError(ValueError):
     """Frequency at or inside the phonon band; M is not safely invertible."""
 
 
+def band_gap(omega: float) -> float:
+    """Om^2 - 4, the least |nu| on every grid; a ResonanceError below RESONANCE_FLOOR."""
+    omega2 = omega * omega  # the bits of omega**2, but inf above 1.34e154, not OverflowError
+    if not omega2 - 4.0 >= RESONANCE_FLOOR:
+        raise ResonanceError(f"omega^2 = {omega2:.6g} does not clear the phonon band edge 4")
+    return omega2 - 4.0
+
+
 @dataclass(frozen=True)
 class Multiplier:
     """Eigenvalue table nu[i, j] = -Om^2 m_i^2 + 4 sin^2(k_j / 2), m_i the i-th stored m."""
@@ -61,7 +70,8 @@ def _site_filter(coeffs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 
 
 def _symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(nu, sigma) at the real-FFT site frequencies, per stored m, resonance-checked.
+    """(nu, sigma) at the real-FFT site frequencies, per stored m, resonance-checked
+    by ``band_gap`` alone: N is even, so k = pi is a site frequency and min |nu| = Om^2 - 4.
 
     Built once per GridSpec instance and kept on it; GridSpec is frozen, so
     the pair goes into the instance dict directly.  Equal grids built
@@ -70,13 +80,9 @@ def _symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     cached = grid.__dict__.get("_symbols")
     if cached is None:
-        if grid.omega**2 <= 4.0:
-            raise ResonanceError(
-                f"omega^2 = {grid.omega**2:.6g} does not clear the phonon band edge 4")
+        band_gap(grid.omega)
         rows = grid.n_sites // 2 + 1
         nu = np.ascontiguousarray(Multiplier.build(grid).table.T[:rows])
-        if np.min(np.abs(nu)) < RESONANCE_FLOOR:
-            raise ResonanceError("multiplier magnitude below resonance floor")
         sigma = -dispersion(_wavenumbers(grid)[:rows])[:, None] / nu
         cached = grid.__dict__["_symbols"] = (nu, sigma)
     return cached
@@ -164,9 +170,8 @@ def probe_operator_norm(omega: float, grid: GridSpec, trials: int,
     Returns (max probed ratio, 1/(omega^2 - 4)).  The supremum is attained
     on the (m = 1, k = pi) mode; random probes stay at or below it.
     """
+    gap = band_gap(omega)
     grid = replace(grid, omega=omega)
-    if omega**2 <= 4.0:
-        raise ResonanceError("operator norm probe needs omega^2 > 4")
     rng = np.random.default_rng(seed)
     flat = WeightSpec(0.0)
     best = 0.0
@@ -176,4 +181,4 @@ def probe_operator_norm(omega: float, grid: GridSpec, trials: int,
         if denom == 0.0:
             continue
         best = max(best, x0_norm(apply_M_inverse(u), flat) / denom)
-    return best, 1.0 / (omega**2 - 4.0)
+    return best, 1.0 / gap

@@ -68,7 +68,8 @@ def bounds_report(omega: float, weight: WeightSpec, potential: PotentialSpec,
     if not 0.0 <= x0_norm_value < math.inf:
         raise ValueError("x0_norm must be finite and >= 0")
     kbar, alpha = growth_bound(potential)
-    nonres0 = omega**2 > 4.0
+    omega2 = omega * omega  # inf above 1.34e154, where **2 raises OverflowError
+    nonres0 = omega2 > 4.0
     if kbar == 0.0:
         # harmonic limit: the envelope constant vanishes and both radii diverge
         return BoundsReport(math.inf, math.inf, nonres0, nonres0, None, x0_norm_value)
@@ -78,8 +79,8 @@ def bounds_report(omega: float, weight: WeightSpec, potential: PotentialSpec,
     except OverflowError:
         raise WeightOverflowError(f"weight overflow: cosh(lambda) exceeds the double range "
                                   f"at lambda = {weight.lam!r}") from None
-    nonres = omega**2 > 4.0 + coupling
-    base = (omega**2 - 4.0) / coupling
+    nonres = omega2 > 4.0 + coupling
+    base = (omega2 - 4.0) / coupling
     r_max = base ** (1.0 / alpha) if base > 0.0 else 0.0
     r_crit = base ** (1.0 / (1.0 + alpha)) if base > 0.0 else 0.0
     in_ring = (r_crit <= x0_norm_value <= r_max) if nonres else None
@@ -140,13 +141,11 @@ def strong_residual(field: SpectralField, spec: PotentialSpec,
 
 
 def boundary_floor(field: SpectralField) -> float:
-    """Edge-to-peak amplitude ratio; the lattice must be long enough that
-    this stays below 1e-10 for a trustworthy periodic truncation."""
+    """Edge-to-peak amplitude ratio, nan for a field with no peak; the lattice must be
+    long enough that this stays below 1e-10 for a trustworthy periodic truncation."""
     amp = max_amplitude_profile(field)
     peak = float(np.max(amp))
-    if peak == 0.0:
-        return 0.0
-    return float(max(amp[0], amp[-1]) / peak)
+    return float(max(amp[0], amp[-1]) / peak) if peak > 0.0 else math.nan
 
 
 def strong_residual_check(field: SpectralField, config) -> tuple[str, float, float]:

@@ -1,10 +1,12 @@
 import argparse
 import csv
 import filecmp
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -635,6 +637,13 @@ def _solve_cold_at_the_band_edge(record):
                         "--out", str(record)]) == 0
 
 
+def _solve_from_a_zero_seed(record):
+    # S(0) = 0: the solve ends collapsed_to_zero on an all-zero field, which has no peak
+    shutil.rmtree(record)
+    assert run_command(["solve", "--omega", "2.2", "--quartic", "1", "--seed-amplitude", "0",
+                        "--out", str(record)]) == 2
+
+
 # the rows whose detail is a message, not '<value> vs limit <limit>'
 _MESSAGE_ROWS = ("schema_version", "operator_norm_bound", "reproducible_trace")
 
@@ -647,11 +656,13 @@ _MESSAGE_ROWS = ("schema_version", "operator_norm_bound", "reproducible_trace")
     ("parity_relation", _scale_spectrum(1.0 + 1e-9, site=1)),
     ("strong_residual", _scale_spectrum(1.0 + 1e-6)),
     ("boundary_floor", _solve_cold_at_the_band_edge),
+    ("boundary_floor", _solve_from_a_zero_seed),
     ("bounds_arithmetic", _edit_manifest(
         lambda m: m["bounds"].update(r_max=m["bounds"]["r_max"] * (1.0 + 1e-12)))),
     ("reproducible_trace", _edit_trace_row),
 ], ids=["schema_version", "x0_norm_perturbed", "x0_norm_null", "parity_relation",
-        "strong_residual", "boundary_floor", "bounds_arithmetic", "reproducible_trace"])
+        "strong_residual", "boundary_floor", "boundary_floor_zero_field", "bounds_arithmetic",
+        "reproducible_trace"])
 def test_each_check_has_a_record_that_fails_it_alone(row, edit, solved_dir, tmp_path, capsys):
     record = tmp_path / "record"
     shutil.copytree(solved_dir, record)
@@ -792,7 +803,9 @@ def test_verify_reaches_a_verdict_on_a_resonance_record(tmp_path, capsys):
     assert rc == 1
     # the record holds no bounds, so bounds_arithmetic is not among the checks
     assert len(lines) == 8 and all(line.startswith("CHECK ") for line in lines)
+    # the placeholder field is zero: it has no peak to measure its edges against
     assert [line for line in lines if ": FAIL" in line] == [
+        "CHECK boundary_floor: FAIL (nan vs limit 1e-10)",
         "CHECK operator_norm_bound: FAIL "
         "(omega^2 = 2.56 does not clear the phonon band edge 4)"]
     assert "CHECK reproducible_trace: PASS (0 iterates compared bit-identically)" in lines
@@ -812,6 +825,180 @@ def test_cubic_input_exits_three_and_writes_nothing(argv, tmp_path, capsys):
     assert rc == 3
     assert err.startswith("precondition: potential.cubic = 0.3 is not supported")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def _config_line_without_equals(tmp_path, solved_dir):
+    (tmp_path / "bad.conf").write_text("omega = 2.2\npotential.quartic 1\n")
+    return ["solve", "--config", str(tmp_path / "bad.conf"), "--out", str(tmp_path / "out")]
+
+
+def _record_that_blows_up(tmp_path, solved_dir):
+    record = tmp_path / "record"
+    shutil.copytree(solved_dir, record)
+    _scale_spectrum(1000.0)(record)  # x 100 stays finite at 512 steps a period
+    return ["integrate", "--manifest", str(record / "manifest.json"),
+            "--out", str(tmp_path / "out")]
+
+
+# per EXIT_TABLE row, by its error's name: an argv that ends there, and the start
+# of the stderr line it ends with
+_EXIT_CASES = {
+    "ConfigError": (_config_line_without_equals,
+                    "config error: line 2: expected 'key = value'"),
+    "ResonanceError": (lambda tmp_path, _: ["solve", "--omega", "1.5", "--quartic", "1"],
+                       "resonance: omega^2 = 2.25 does not clear the phonon band edge 4"),
+    "UnsupportedPotentialError": (lambda tmp_path, _: ["solve", "--omega", "2.5",
+                                                       "--cubic", "0.3"],
+                                  "precondition: potential.cubic = 0.3 is not supported"),
+    "MixedPotentialError": (lambda tmp_path, _: ["bounds", "--omega2", "12", "--cubic", "1",
+                                                 "--quartic", "1"],
+                            "bounds: mixed cubic+quartic potential has no global growth pair"),
+    "BlowUpError": (_record_that_blows_up,
+                    "trajectory blow-up: non-finite state after 1 periods"),
+    "ValueError": (lambda tmp_path, _: ["sweep", "--omega-from", "2.6", "--omega-to", "2.4",
+                                        "--steps", "0", "--quartic", "1"],
+                   "error: steps must be >= 1"),
+    "OSError": (lambda tmp_path, _: ["verify", "--manifest", str(tmp_path / "missing.json")],
+                "io error: [Errno 2] No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("row", cli_io.EXIT_TABLE, ids=lambda row: row[0].__name__)
+def test_each_exit_table_row_ends_a_command_with_one_line(row, solved_dir, tmp_path,
+                                                          monkeypatch, capsys):
+    error, code, prefix = row
+    make_argv, start = _EXIT_CASES[error.__name__]
+    argv = make_argv(tmp_path, solved_dir)
+    monkeypatch.chdir(tmp_path)  # solve's default --out is ./out
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = run_command(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (code, "")
+    assert err.splitlines()[-1].startswith(f"{prefix}: ")
+    assert err.splitlines()[-1].startswith(start), err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_bounds_without_a_frequency_exits_one_with_one_line(capsys):
+    rc = run_command(["bounds", "--quartic", "1"])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "bounds: supply --omega or --omega2\n")
+
+
+def _error_classes():
+    """Every exception class the package defines, warnings excepted."""
+    modules = [importlib.import_module(f"breather_forge.{info.name}")
+               for info in pkgutil.iter_modules(breather_forge.__path__)]
+    return {cls for module in modules for cls in vars(module).values()
+            if isinstance(cls, type) and issubclass(cls, Exception)
+            and not issubclass(cls, Warning) and cls.__module__.startswith("breather_forge")}
+
+
+def test_every_error_the_package_defines_has_an_exit_table_row():
+    names = {cls.__name__ for cls in _error_classes()}
+    assert {"ConfigError", "ResonanceError", "BlowUpError", "WeightOverflowError"} <= names
+    assert sorted(cls.__name__ for cls in _error_classes()
+                  if not any(issubclass(cls, row[0]) for row in cli_io.EXIT_TABLE)) == []
+    # first match wins, so a row below one of its base classes could never match
+    rows = [row[0] for row in cli_io.EXIT_TABLE]
+    assert [(a.__name__, b.__name__) for i, a in enumerate(rows) for b in rows[i + 1:]
+            if issubclass(b, a)] == []
+
+
+def test_readme_exit_table_matches_the_program():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (\d) \| `([^`]+)` \|", readme, re.M)
+    assert rows == [(error.__name__, str(code), prefix)
+                    for error, code, prefix in cli_io.EXIT_TABLE]
+
+
+def test_solve_refuses_a_gap_below_the_resonance_floor(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_command(["solve", "--omega", "2.0000000001", "--quartic", "1", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: omega^2 = 4 does not clear the phonon band edge 4; "
+        "solving will fail with a resonance error",
+        "resonance: omega^2 = 4 does not clear the phonon band edge 4"]
+    assert not out.exists()
+
+
+def test_verify_fails_a_sweep_record_below_the_resonance_floor(tmp_path, capsys):
+    out = tmp_path / "sw"
+    rc = run_command(["sweep", "--omega-from", "2.0000000001", "--omega-to", "2.0000000001",
+                      "--steps", "1", "--quartic", "1", "--n-sites", "32", "--harmonics", "8",
+                      "--out", str(out)])
+    assert rc == 0
+    manifest = out / "point_000" / "manifest.json"
+    assert load_manifest(str(manifest))["result"]["status"] == "resonance"
+    capsys.readouterr()
+    rc = run_command(["verify", "--manifest", str(manifest)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert [line for line in lines if ": FAIL" in line] == [
+        "CHECK boundary_floor: FAIL (nan vs limit 1e-10)",
+        "CHECK operator_norm_bound: FAIL "
+        "(omega^2 = 4 does not clear the phonon band edge 4)"]
+
+
+def test_bounds_at_a_frequency_whose_square_overflows_prints_inf_radii(capsys):
+    rc = run_command(["bounds", "--omega", "1e200", "--quartic", "1"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == ["r_max = inf", "r_crit = inf", "nonres0_ok = True",
+                                "nonres_ok = True"]
+
+
+def test_solve_at_a_frequency_whose_square_overflows_ends_without_a_traceback(tmp_path):
+    # a process of its own: numpy's overflow warnings, which the suite makes errors,
+    # are warnings to the command
+    proc = subprocess.run([sys.executable, "-m", "breather_forge.cli_io", "solve",
+                           "--omega", "1e160", "--quartic", "1", "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=_program_env(), timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("status = collapsed_to_zero\n")
+
+
+def test_sweep_refuses_omega(tmp_path, capsys):
+    out = tmp_path / "sw"
+    rc = run_command(["sweep", "--omega", "1.5", "--omega-from", "2.6", "--omega-to", "2.5",
+                      "--steps", "2", "--quartic", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "--omega-from" in err and "--omega-to" in err
+    assert not out.exists()
+
+
+def test_omega_from_overrides_a_config_files_omega(tmp_path, capsys):
+    conf = tmp_path / "sw.conf"
+    conf.write_text("omega = 1.5\n")
+    out = tmp_path / "sw"
+    rc = run_command(["sweep", "--config", str(conf), "--omega-from", "2.6",
+                      "--omega-to", "2.5", "--steps", "2", "--quartic", "1",
+                      "--n-sites", "32", "--harmonics", "8", "--seed-amplitude", "0.8",
+                      "--out", str(out)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    echo = load_manifest(str(out / "point_000" / "manifest.json"))["config_echo"]
+    assert "grid.omega = 2.6\n" in echo
+
+
+@pytest.mark.parametrize("omega_to", ["inf", "nan", "-3", "0"])
+def test_sweep_refuses_an_endpoint_before_any_solve(omega_to, monkeypatch, tmp_path, capsys):
+    def no_solve(config, initial=None):
+        raise AssertionError("a point was solved before the endpoints were checked")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
+    out = tmp_path / "sw"
+    rc = run_command(["sweep", "--omega-from", "2.6", "--omega-to", omega_to, "--steps", "2",
+                      "--quartic", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: omega_to = {float(omega_to)!r} must be positive and finite\n"
     assert not out.exists()
 
 

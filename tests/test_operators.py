@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from breather_forge import (GridSpec, Multiplier, PotentialSpec,
                             ResonanceError, SpectralField, WeightSpec, apply_M,
                             apply_M_inverse, apply_M_via_multiplier, apply_N,
-                            apply_S, linearize_S, probe_operator_norm,
+                            apply_S, band_gap, linearize_S, probe_operator_norm,
                             project_even, project_odd, random_field,
                             seed_field, x0_norm, zero_field)
 
@@ -90,6 +90,34 @@ def test_resonance_error_inside_band():
     for spec in (QUARTIC, PotentialSpec()):
         with pytest.raises(ResonanceError):
             apply_S(field, spec)
+
+
+@pytest.mark.parametrize("omega", [2.2, 2.0 + 1e-9, math.sqrt(8.0), 1e100])
+def test_band_gap_is_the_square_less_four(omega):
+    assert band_gap(omega) == omega**2 - 4.0
+
+
+def test_band_gap_of_a_frequency_whose_square_overflows_is_inf():
+    with pytest.raises(OverflowError):
+        1e160**2
+    assert band_gap(1e160) == math.inf
+
+
+@pytest.mark.parametrize("omega", [1.5, 2.0, 2.0000000001, math.nan])
+def test_band_gap_refuses_a_gap_below_the_floor(omega):
+    with pytest.raises(ResonanceError, match=r"^omega\^2 = .* does not clear the phonon "
+                                             r"band edge 4$"):
+        band_gap(omega)
+
+
+@pytest.mark.parametrize("n_sites, n_harm, half_wave", [(8, 3, False), (32, 8, True),
+                                                        (64, 16, False), (96, 16, True)])
+@pytest.mark.parametrize("omega", [2.0 + 1e-9, 2.05, 2.2, 3.0])
+def test_band_gap_is_the_least_multiplier_magnitude_of_every_grid(n_sites, n_harm,
+                                                                  half_wave, omega):
+    # N is even, so k = pi is a mode: the floor on min |nu| and on the gap agree
+    grid = GridSpec(n_sites, n_harm, 4 * n_harm + 2, omega, half_wave=half_wave)
+    assert float(np.min(np.abs(Multiplier.build(grid).table))) == band_gap(omega)
 
 
 def test_apply_N_harmonic_is_zero():
@@ -177,7 +205,7 @@ def test_probe_operator_norm():
 
 
 def test_probe_operator_norm_needs_nonresonant_frequency():
-    with pytest.raises(ResonanceError):
+    with pytest.raises(ResonanceError, match="does not clear the phonon band edge 4"):
         probe_operator_norm(1.5, GRID, trials=1)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 from dataclasses import replace
 
@@ -529,6 +530,20 @@ def test_sweep_reports_resonant_points():
     for r in results:
         if r.omega**2 <= 4.0:
             assert r.status == "resonance"
+
+
+@pytest.mark.parametrize("ends, named", [((math.inf, 2.4), "omega_from = inf"),
+                                         ((2.6, -3.0), "omega_to = -3.0"),
+                                         ((2.6, math.nan), "omega_to = nan")])
+def test_sweep_refuses_an_endpoint_before_any_solve(ends, named, monkeypatch):
+    def no_solve(config, initial=None):
+        raise AssertionError("a point was solved before the endpoints were checked")
+
+    monkeypatch.setattr(solver_module, "solve", no_solve)
+    cfg = SolverConfig(grid=GridSpec(32, 8, 66, 2.6), weight=WeightSpec(0.0),
+                       potential=QUARTIC, parity="odd", seed=(0.8, 1.0))
+    with pytest.raises(ValueError, match=f"^{re.escape(named)} must be positive and finite$"):
+        continuation_sweep(cfg, *ends, 3)
 
 
 def test_refine_identity_and_factor_two(flagship_result):

@@ -258,4 +258,5 @@ def test_trajectory_blow_up_detected():
 
 def test_boundary_floor(flagship_result):
     assert boundary_floor(flagship_result.field) <= 1e-10
-    assert boundary_floor(zero_field(GridSpec(32, 8, 66, 2.5))) == 0.0
+    # edge/peak is undefined without a peak, and a nan row fails the check table
+    assert math.isnan(boundary_floor(zero_field(GridSpec(32, 8, 66, 2.5))))
