@@ -10,7 +10,7 @@ central profiles, and cross-checks both against the time integrator.
 import numpy as np
 
 from breather_forge import (GridSpec, PotentialSpec, SolverConfig, WeightSpec,
-                            hybrid_solve, integrate_trajectory,
+                            decay_rate_fit, hybrid_solve, integrate_trajectory,
                             max_amplitude_profile)
 
 QUARTIC = PotentialSpec(quartic=1.0)
@@ -31,8 +31,9 @@ def main():
         profile = max_amplitude_profile(res.field)
         half = res.field.grid.n_sites // 2
         window = np.round(profile[half - 4: half + 5], 4)
+        decay = decay_rate_fit(res)[0] if res.status == "converged" else float("nan")
         print(f"{label}: status={res.status} x0_norm={res.x0_norm:.5f} "
-              f"decay={res.decay_fit:.3f}")
+              f"decay={decay:.3f}")
         print(f"  |x| near centre: {window}")
         if res.status == "converged":
             rep = integrate_trajectory(res.field, QUARTIC, 5, 512)

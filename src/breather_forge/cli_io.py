@@ -4,6 +4,8 @@ Config files are flat ``section.key = value`` lines with ``#`` comments.
 The solve manifest is a single JSON document that echoes the fully resolved
 configuration, so any run can be reproduced bit-identically from its
 manifest alone; numeric tables go to RFC-4180-style CSV files next to it.
+The record writer (``build_manifest``) is the one place that computes a
+record's checks of the solved field; a solve result carries none of them.
 
 Exit codes: 0 converged/complete, 1 usage/parse/verification errors,
 2 solver finished without a nontrivial solution (collapse, divergence,
@@ -28,16 +30,17 @@ import numpy as np
 
 from . import validation
 from .lattice_model import MixedPotentialError, PotentialSpec
-# probe_operator_norm, synthesize, x2_norm: unused here, but bench/tracing.py's _TARGETS wrap them
+# probe_operator_norm, synthesize: unused here, but bench/tracing.py's _TARGETS wrap them
 from .operators import Multiplier, ResonanceError, band_gap, probe_operator_norm
-from .solver import (BreatherResult, SolverConfig, STATUS_CONVERGED, UnsupportedPotentialError,
-                     continuation_sweep, solve)
+from .solver import (BreatherResult, SolverConfig, STATUS_CONVERGED, STATUS_RESONANCE,
+                     UnsupportedPotentialError, continuation_sweep, solve)
 from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec, max_amplitude_profile,
                              parity_center, synthesize, x0_norm, x2_norm)
 
 SCHEMA_VERSION = 1
 _TRACE_HEADER = ["iter", "fp_residual", "x0_norm"]
-# BreatherResult fields a manifest's result object holds, in its order
+# a manifest's result object, in its order: BreatherResult fields and the checks
+# of the field that build_manifest computes
 _RESULT_KEYS = ("status", "omega", "iterations", "fp_residual", "strong_residual",
                 "x0_norm", "x2_norm", "parity_deviation", "decay_fit", "parity")
 
@@ -241,34 +244,52 @@ def _csv_text(header: list[str], *columns) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-def build_manifest(result: BreatherResult, config_text: str,
+def build_manifest(result: BreatherResult, decay_rate: float, config_text: str,
                    artifact_paths: list[str], trajectory=None) -> dict:
-    return _json_safe({
+    """A solve's record, before ``_json_safe``.  The checks of the field that the
+    result object holds besides the solve's own fields are computed here, once per
+    record; ``decay_fit`` is ``decay_rate``, the fit of the decay file, for a
+    converged result and nan for others.  Bounds are null for a resonance
+    placeholder, a potential without a growth pair, or a non-finite X0 norm."""
+    fld, weight, norm0 = result.field, result.weight, result.x0_norm
+    checks = {
+        "strong_residual": validation.strong_residual(fld, result.potential, weight),
+        "x2_norm": x2_norm(fld, weight),
+        "parity_deviation": validation.parity_deviation(fld, result.parity, weight, norm0),
+        "decay_fit": decay_rate if result.status == STATUS_CONVERGED else math.nan,
+    }
+    bounds = None
+    if (result.status != STATUS_RESONANCE and result.potential.has_growth_pair
+            and math.isfinite(norm0)):
+        bounds = asdict(validation.bounds_report(result.omega, weight, result.potential, norm0))
+    return {
         "schema_version": SCHEMA_VERSION,
         "config_echo": config_text,
-        "result": {key: getattr(result, key) for key in _RESULT_KEYS},
-        "bounds": asdict(result.bounds) if result.bounds is not None else None,
+        "result": {key: checks[key] if key in checks else getattr(result, key)
+                   for key in _RESULT_KEYS},
+        "bounds": bounds,
         "trajectory": asdict(trajectory) if trajectory is not None else None,
         "artifact_paths": artifact_paths,
-    })
+    }
 
 
 def decay_columns(amp: np.ndarray, sites: np.ndarray, parity: str):
-    """(abs_n, log_amp, fit_line) columns of the decay file, nearest site first,
-    from the max-amplitude profile ``amp`` over ``sites``."""
+    """(abs_n, log_amp, fit_line) columns of the decay file, nearest site first, and
+    the decay rate of the fit line, from the max-amplitude profile ``amp`` over
+    ``sites``; where ``fit_decay_profile`` finds no tail, the rate and line are nan."""
     center = parity_center(parity)
     dist = np.abs(sites - center)
     with np.errstate(divide="ignore"):
         logs = np.log(amp)
     try:
-        lam_eff, _ = validation.fit_decay_profile(amp, center)
+        rate, _ = validation.fit_decay_profile(amp, center)
         mask = validation.tail_mask(amp)
-        intercept = float(np.mean(logs[mask] + lam_eff * dist[mask]))
-        fit = intercept - lam_eff * dist
+        intercept = float(np.mean(logs[mask] + rate * dist[mask]))
+        fit = intercept - rate * dist
     except ValueError:  # InsufficientTailError among them
-        fit = np.full_like(dist, float("nan"))
+        rate, fit = math.nan, np.full_like(dist, math.nan)
     order = np.argsort(dist, kind="stable")
-    return dist[order], logs[order], fit[order]
+    return dist[order], logs[order], fit[order], rate
 
 
 def _index_grid(outer: np.ndarray, inner: np.ndarray):
@@ -277,8 +298,9 @@ def _index_grid(outer: np.ndarray, inner: np.ndarray):
 
 
 def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
-                 trajectory=None, dump_nu: bool = False) -> str:
-    """Write the manifest and CSV artifacts; returns the manifest path."""
+                 trajectory=None, dump_nu: bool = False) -> tuple[str, dict]:
+    """Write the manifest and CSV artifacts; returns the manifest's path and the
+    record it holds, as ``build_manifest`` made it (nan and inf kept)."""
     os.makedirs(out_dir, exist_ok=True)
     grid = result.field.grid
     sites = grid.sites
@@ -296,17 +318,17 @@ def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
     coeffs = result.field.coeffs.ravel()
     write("spectrum.csv", ["n", "m", "re", "im"],
           *_index_grid(sites, grid.harmonics), coeffs, np.zeros_like(coeffs))
-    write("decay.csv", ["abs_n", "log_amp", "fit_line"],
-          *decay_columns(amp, sites, result.parity))
+    *decay, decay_rate = decay_columns(amp, sites, result.parity)
+    write("decay.csv", ["abs_n", "log_amp", "fit_line"], *decay)
     if dump_nu:
         write("nu_table.csv", ["m", "j", "nu"],
               *_index_grid(grid.harmonics, np.arange(grid.n_sites)),
               Multiplier.build(grid).table.ravel())
 
-    manifest = build_manifest(result, config_text, artifacts, trajectory)
+    manifest = build_manifest(result, decay_rate, config_text, artifacts, trajectory)
     path = os.path.join(out_dir, "manifest.json")
-    _atomic_write(path, json.dumps(manifest, indent=2, allow_nan=False) + "\n")
-    return path
+    _atomic_write(path, json.dumps(_json_safe(manifest), indent=2, allow_nan=False) + "\n")
+    return path, manifest
 
 
 def load_manifest(path: str) -> dict:
@@ -385,14 +407,15 @@ def _cmd_solve(args) -> int:
                 args.steps_per_period)
         except validation.BlowUpError as exc:
             print(f"trajectory blow-up: {exc}", file=sys.stderr)
-    manifest_path = emit_outputs(result, args.out, serialize_config(config),
-                                 trajectory, dump_nu=args.dump_nu)
-    print(f"status = {result.status}")
+    manifest_path, manifest = emit_outputs(result, args.out, serialize_config(config),
+                                           trajectory, dump_nu=args.dump_nu)
+    record, bounds = manifest["result"], manifest["bounds"]
+    print(f"status = {record['status']}")
     for key in ("iterations", "fp_residual", "x0_norm", "decay_fit"):
-        print(f"{key} = {getattr(result, key)!r}")
-    if result.bounds is not None:
-        print(f"r_max = {result.bounds.r_max!r}")
-        print(f"r_crit = {result.bounds.r_crit!r}")
+        print(f"{key} = {record[key]!r}")
+    if bounds is not None:
+        print(f"r_max = {bounds['r_max']!r}")
+        print(f"r_crit = {bounds['r_crit']!r}")
     print(f"manifest = {manifest_path}")
     return 0 if result.status == STATUS_CONVERGED else 2  # a resonance raises instead
 

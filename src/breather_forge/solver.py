@@ -8,7 +8,8 @@ residual acceleration to lock in the profile shape, then matrix-free Newton
 on F(x) = x - S(x), whose linear systems the module's own ``gmres`` solves
 in one Arnoldi cycle with scipy's arithmetic.  ``picard_solve`` and
 ``newton_solve`` run one phase alone, for the library and the tests.  Each
-iterates on its config's half-wave grid (``_working_config``).
+iterates on its config's half-wave grid (``_working_config``) and returns
+what the solve produced; the one check it makes is the convergence gate.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import numpy as np
 from . import validation
 from .lattice_model import PotentialSpec
 from .operators import apply_S, linearize_S, ResonanceError
+# x2_norm: unused here, but bench/tracing.py's _TARGETS wrap it
 from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec,
                              dealiased_sample_count, parity_projector,
                              seed_field, x0_norm, x2_norm, zero_field)
-from .validation import BoundsReport
 
 DIVERGENCE_NORM = 1e6
 COLLAPSE_NORM = 1e-8  # an X0 norm at or below this has collapsed to zero
@@ -80,16 +81,15 @@ class SolverConfig:
 
 @dataclass
 class BreatherResult:
+    """What a solve produced.  The checks of its field (strong residual, X2 norm,
+    parity deviation, decay fit, bounds) are made where a record is written,
+    by ``cli_io.emit_outputs``, or by ``validation`` directly."""
+
     field: SpectralField
     omega: float
     iterations: int
     fp_residual: float
-    strong_residual: float
     x0_norm: float
-    x2_norm: float
-    parity_deviation: float
-    decay_fit: float
-    bounds: BoundsReport | None
     status: str
     parity: str
     weight: WeightSpec
@@ -130,26 +130,12 @@ class _Outcome:
 
 def _finalize(config: SolverConfig, out: _Outcome, trace: list) -> BreatherResult:
     fld = _interpolate(out.field, config.grid)  # m the solve did not store are 0.0
-    norm0 = x0_norm(fld, config.weight)
-    bounds = (validation.bounds_report(config.grid.omega, config.weight, config.potential, norm0)
-              if config.potential.has_growth_pair else None)
-    status = out.status if out.status is not None else STATUS_MAX_ITER
-    result = BreatherResult(
+    return BreatherResult(
         field=fld, omega=config.grid.omega, iterations=len(trace) - 1 if trace else 0,
-        fp_residual=out.fp_residual,
-        strong_residual=validation.strong_residual(fld, config.potential, config.weight),
-        x0_norm=norm0, x2_norm=x2_norm(fld, config.weight),
-        parity_deviation=validation.parity_deviation(fld, config.parity,
-                                                     config.weight, norm0),
-        decay_fit=float("nan"), bounds=bounds, status=status,
+        fp_residual=out.fp_residual, x0_norm=x0_norm(fld, config.weight),
+        status=out.status if out.status is not None else STATUS_MAX_ITER,
         parity=config.parity, weight=config.weight, potential=config.potential,
         trace=list(trace))
-    if status == STATUS_CONVERGED:
-        try:
-            result.decay_fit, _ = validation.decay_rate_fit(result)
-        except validation.InsufficientTailError:
-            pass
-    return result
 
 
 def _residual(config: SolverConfig, fld: SpectralField) -> SpectralField:
@@ -580,10 +566,7 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
 
 
 def _resonance_placeholder(config: SolverConfig) -> BreatherResult:
-    fld = zero_field(config.grid)
     return BreatherResult(
-        field=fld, omega=config.grid.omega, iterations=0,
-        fp_residual=float("nan"), strong_residual=0.0, x0_norm=0.0,
-        x2_norm=0.0, parity_deviation=0.0, decay_fit=float("nan"),
-        bounds=None, status=STATUS_RESONANCE, parity=config.parity,
-        weight=config.weight, potential=config.potential, trace=[])
+        field=zero_field(config.grid), omega=config.grid.omega, iterations=0,
+        fp_residual=float("nan"), x0_norm=0.0, status=STATUS_RESONANCE,
+        parity=config.parity, weight=config.weight, potential=config.potential, trace=[])

@@ -64,10 +64,12 @@ def test_install_wraps_every_target(installed):
     assert spectral_field.parity_projector("even") is spectral_field.project_even
 
 
-def test_a_traced_solve_passes_through_each_solver_layer(installed):
+def test_a_traced_solve_passes_through_each_solver_layer(installed, tmp_path):
     tracer = installed[0]
     tracer.begin_op()
     result = solver.hybrid_solve(_small_config())
+    # a bare solve fits no decay: the record writer's fit for decay.csv does
+    cli_io.emit_outputs(result, str(tmp_path), "")
     tracer.end_op()
     assert result.status == solver.STATUS_CONVERGED
     seen = set(tracer.names)

@@ -13,10 +13,11 @@ from scipy.sparse.linalg import gmres as scipy_gmres
 
 from breather_forge import (GridSpec, PotentialSpec, ResonanceError,
                             SolverConfig, UnsupportedPotentialError, WeightSpec,
-                            continuation_sweep, hybrid_solve, newton_solve,
-                            apply_S, picard_solve, project_odd, random_field,
-                            refine, solve, synthesize,
-                            time_means, x0_norm, zero_field)
+                            bounds_report, continuation_sweep, decay_rate_fit,
+                            hybrid_solve, newton_solve, apply_S, picard_solve,
+                            project_odd, random_field, refine, solve, strong_residual,
+                            synthesize, time_means, x0_norm, x2_norm, zero_field)
+from breather_forge.cli_io import build_manifest
 from breather_forge import solver as solver_module
 from breather_forge.solver import (PICARD_COLLAPSE_FRACTION, _picard_phase,
                                     _working_config, build_seed)
@@ -114,13 +115,16 @@ def test_hybrid_flagship_converges(flagship_result):
 def test_converged_result_invariants(flagship_result):
     cfg = flagship_config("odd")
     res = flagship_result
+    # the numbers a record of this result holds, from the record writer
+    record = build_manifest(res, decay_rate_fit(res)[0], "", [])
+    numbers = record["result"]
     assert res.fp_residual <= cfg.tol_residual
-    assert res.strong_residual <= 10.0 * cfg.tol_residual * res.x2_norm
-    assert res.parity_deviation <= 1e-12
+    assert numbers["strong_residual"] <= 10.0 * cfg.tol_residual * numbers["x2_norm"]
+    assert numbers["parity_deviation"] <= 1e-12
     peak = np.max(np.abs(synthesize(res.field)))
     assert np.max(np.abs(time_means(res.field))) <= 1e-13 * peak
-    assert res.decay_fit > 0.0
-    assert res.bounds is not None
+    assert numbers["decay_fit"] > 0.0
+    assert record["bounds"] is not None
 
 
 def test_converged_means_strong_residual_within_limit():
@@ -129,7 +133,8 @@ def test_converged_means_strong_residual_within_limit():
     cfg = replace(flagship_config("even"), seed=(0.87140064465153, 0.9157754696836321))
     res = hybrid_solve(cfg)
     assert res.status == "converged"
-    assert res.strong_residual <= 10.0 * cfg.tol_residual * res.x2_norm
+    assert (strong_residual(res.field, cfg.potential, cfg.weight)
+            <= 10.0 * cfg.tol_residual * x2_norm(res.field, cfg.weight))
 
 
 @pytest.mark.parametrize("solve_fn, amplitude, iterations, fp_residual", [
@@ -463,10 +468,11 @@ def test_ring_membership_at_high_frequency():
                        max_iter=400)
     res = hybrid_solve(cfg)
     assert res.status == "converged"
-    assert res.bounds.nonres_ok
-    assert res.x0_norm >= res.bounds.r_crit
+    bounds = bounds_report(res.omega, res.weight, res.potential, res.x0_norm)
+    assert bounds.nonres_ok
+    assert res.x0_norm >= bounds.r_crit
     print(f"ring upper-bound gap: x0 = {res.x0_norm:.6f} vs r_max = "
-          f"{res.bounds.r_max:.6f} (in_ring = {res.bounds.in_ring})")
+          f"{bounds.r_max:.6f} (in_ring = {bounds.in_ring})")
 
 
 def test_sweep_single_step_degenerates_to_solve(flagship_result):

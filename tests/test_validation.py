@@ -11,7 +11,7 @@ from breather_forge import (BlowUpError, GridSpec, InsufficientTailError,
                             fit_decay_profile, initial_conditions,
                             integrate_trajectory, lattice_energy,
                             strong_residual, synthesize,
-                            weighted_profile_norm, x0_norm, zero_field,
+                            weighted_profile_norm, x0_norm, x2_norm, zero_field,
                             max_amplitude_profile)
 
 from conftest import QUARTIC
@@ -126,7 +126,8 @@ def test_strong_residual_cases(flagship_result):
     noise = SpectralField(grid, rng.standard_normal((32, 8)))
     assert strong_residual(noise, QUARTIC) > 0.0
     res = flagship_result
-    assert res.strong_residual <= 10.0 * 1e-10 * res.x2_norm
+    assert (strong_residual(res.field, QUARTIC, res.weight)
+            <= 10.0 * 1e-10 * x2_norm(res.field, res.weight))
 
 
 def test_classical_residual_flagship(flagship_result):
