@@ -534,13 +534,15 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
     A failed point is bisected once: the midpoint between the last good
     frequency and the failure is solved first and, if it converges, the
     failed point is retried from its field.  Endpoints must be positive and
-    finite; points ``band_gap`` refuses get a resonance status, not an error.
+    finite, and grids of them, before any point is solved; points ``band_gap``
+    refuses get a resonance status, not an error.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     for name, end in (("omega_from", omega_from), ("omega_to", omega_to)):
         if not 0.0 < end < math.inf:
             raise ValueError(f"{name} = {end!r} must be positive and finite")
+        config.with_omega(end)  # GridSpec's range rules
     omegas = np.linspace(omega_from, omega_to, steps)
     results: list[BreatherResult] = []
     carry: SpectralField | None = None

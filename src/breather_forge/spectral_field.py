@@ -51,6 +51,10 @@ class GridSpec:
             raise ValueError("n_time_samples must be even and > 2*n_harmonics")
         if not 0.0 < self.omega < math.inf:
             raise ValueError("omega must be positive and finite")
+        top = self.omega * self.n_harmonics  # products: ** raises OverflowError
+        if not math.isfinite(top * top * top * top):
+            raise ValueError(f"omega = {self.omega!r} is too large for {self.n_harmonics} "
+                             "harmonics: the X2 weight (omega * m)^4 overflows at m = M")
 
     @classmethod
     def with_dealiasing(cls, n_sites: int, n_harmonics: int, omega: float,

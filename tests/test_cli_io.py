@@ -28,6 +28,8 @@ from breather_forge.cli_io import (CONFIG_KEYS, ConfigError, ConfigWarning,
                                    parse_config, run_command,
                                    serialize_config)
 
+from conftest import flagship_config
+
 MINIMAL = "omega = 2.2\n"
 
 FULL = """\
@@ -952,15 +954,108 @@ def test_bounds_at_a_frequency_whose_square_overflows_prints_inf_radii(capsys):
                                 "nonres_ok = True"]
 
 
-def test_solve_at_a_frequency_whose_square_overflows_ends_without_a_traceback(tmp_path):
+@pytest.mark.parametrize("omega", ["1e77", "1e100", "1e160"])
+def test_solve_refuses_a_frequency_whose_x2_weight_overflows(omega, tmp_path, capsys):
+    # in-process: the suite makes any RuntimeWarning of numpy's an error
+    out = tmp_path / "out"
+    rc = run_command(["solve", "--omega", omega, "--quartic", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert "X2 weight" in captured.err
+    assert not out.exists()
+
+
+def test_sweep_refuses_an_endpoint_whose_x2_weight_overflows_before_any_solve(
+        monkeypatch, tmp_path, capsys):
+    def no_solve(config, initial=None):
+        raise AssertionError("a point was solved before the endpoints were checked")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
+    out = tmp_path / "sw"
+    rc = run_command(["sweep", "--omega-from", "2.6", "--omega-to", "1e100", "--steps", "2",
+                      "--quartic", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "X2 weight" in err
+    assert not out.exists()
+
+
+def test_solve_from_a_seed_whose_norm_overflows_writes_its_diverged_record(tmp_path):
     # a process of its own: numpy's overflow warnings, which the suite makes errors,
     # are warnings to the command
+    out = tmp_path / "out"
     proc = subprocess.run([sys.executable, "-m", "breather_forge.cli_io", "solve",
-                           "--omega", "1e160", "--quartic", "1", "--out", str(tmp_path / "out")],
+                           "--omega", "2.2", "--quartic", "1", "--seed-amplitude", "1e200",
+                           "--out", str(out)],
                           capture_output=True, text=True, env=_program_env(), timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stdout.startswith("status = collapsed_to_zero\n")
+    assert not [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert proc.stdout.startswith("status = diverged\n")
+    assert "x0_norm = inf\n" in proc.stdout
+    manifest = load_manifest(str(out / "manifest.json"))
+    assert manifest["result"]["status"] == "diverged"
+    assert manifest["bounds"] is None
+
+
+def test_bounds_with_a_norm_prints_ring_membership(capsys):
+    rc = run_command(["bounds", "--omega", "4", "--quartic", "1", "--x0-norm", "0.5"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[-1] == "in_ring = False"
+
+
+def test_solve_whose_trajectory_blows_up_writes_a_record_without_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_command(["solve", "--omega", "2.2", "--quartic", "1", "--max-iter", "1",
+                      "--seed-amplitude", "30", "--integrate-periods", "1",
+                      "--steps-per-period", "64", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "trajectory blow-up: non-finite state after 1 periods\n"
+    assert load_manifest(str(out / "manifest.json"))["trajectory"] is None
+
+
+def test_solve_refuses_a_zero_iteration_budget(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_command(["solve", "--omega", "2.2", "--quartic", "1", "--max-iter", "0",
+                      "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "config error: max_iter must be >= 1\n"
+    assert not out.exists()
+
+
+def _counting(monkeypatch, counts, module, name):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_a_solve_makes_one_check_and_the_record_writer_makes_the_rest(monkeypatch, tmp_path,
+                                                                     capsys):
+    counts = {}
+    for name in ("strong_residual", "fit_decay_profile", "bounds_report", "parity_deviation"):
+        _counting(monkeypatch, counts, validation, name)
+    result = solver.hybrid_solve(flagship_config("odd"))
+    assert result.status == "converged"
+    assert counts == {"strong_residual": 1}  # the convergence gate
+    counts.clear()
+    for module in (cli_io, validation):
+        _counting(monkeypatch, counts, module, "max_amplitude_profile")
+    path, _ = cli_io.emit_outputs(result, str(tmp_path), serialize_config(flagship_config("odd")))
+    assert counts["max_amplitude_profile"] == 1 and counts["fit_decay_profile"] == 1
+    monkeypatch.undo()
+    assert run_command(["verify", "--manifest", path]) == 0
+    rows = dict(re.findall(r"CHECK (\w+): PASS \((\S+) vs limit", capsys.readouterr().out))
+    record = load_manifest(path)["result"]
+    assert record["strong_residual"] == float(rows["strong_residual"])
+    assert record["parity_deviation"] == float(rows["parity_relation"])
 
 
 def test_sweep_refuses_omega(tmp_path, capsys):

@@ -137,6 +137,13 @@ def test_converged_means_strong_residual_within_limit():
             <= 10.0 * cfg.tol_residual * x2_norm(res.field, cfg.weight))
 
 
+def test_newton_ends_max_iter_once_it_stagnates(monkeypatch):
+    # a step of 1e-6 of the residual never halves it: ten rows without progress
+    monkeypatch.setattr(solver_module, "gmres", lambda A, b, **kwargs: 1e-6 * b)
+    res = newton_solve(flagship_config("odd"))
+    assert (res.status, res.iterations, len(res.trace)) == ("max_iter", 10, 11)
+
+
 @pytest.mark.parametrize("solve_fn, amplitude, iterations, fp_residual", [
     (hybrid_solve, 40.0, 6, math.nan),   # Picard runs away; no iterate is rescuable
     (picard_solve, 40.0, 6, math.nan),
