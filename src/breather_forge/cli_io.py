@@ -4,8 +4,6 @@ Config files are flat ``section.key = value`` lines with ``#`` comments.
 The solve manifest is a single JSON document that echoes the fully resolved
 configuration, so any run can be reproduced bit-identically from its
 manifest alone; numeric tables go to RFC-4180-style CSV files next to it.
-The record writer (``build_manifest``) is the one place that computes a
-record's checks of the solved field; a solve result carries none of them.
 
 Exit codes: 0 converged/complete, 1 usage/parse/verification errors,
 2 solver finished without a nontrivial solution (collapse, divergence,
@@ -39,8 +37,7 @@ from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec, max_
 
 SCHEMA_VERSION = 1
 _TRACE_HEADER = ["iter", "fp_residual", "x0_norm"]
-# a manifest's result object, in its order: BreatherResult fields and the checks
-# of the field that build_manifest computes
+# a manifest's result object, in order: BreatherResult fields and build_manifest's checks
 _RESULT_KEYS = ("status", "omega", "iterations", "fp_residual", "strong_residual",
                 "x0_norm", "x2_norm", "parity_deviation", "decay_fit", "parity")
 
@@ -246,22 +243,17 @@ def _csv_text(header: list[str], *columns) -> str:
 
 def build_manifest(result: BreatherResult, decay_rate: float, config_text: str,
                    artifact_paths: list[str], trajectory=None) -> dict:
-    """A solve's record, before ``_json_safe``.  The checks of the field that the
-    result object holds besides the solve's own fields are computed here, once per
-    record; ``decay_fit`` is ``decay_rate``, the fit of the decay file, for a
-    converged result and nan for others.  Bounds are null for a resonance
-    placeholder, a potential without a growth pair, or a non-finite X0 norm."""
+    """A solve's record, before ``_json_safe``: the one place that computes a record's
+    checks of the field, once each.  ``decay_fit`` is ``decay_rate``, the decay file's
+    fit, if converged; bounds are null at resonance or a non-finite X0 norm."""
     fld, weight, norm0 = result.field, result.weight, result.x0_norm
-    checks = {
-        "strong_residual": validation.strong_residual(fld, result.potential, weight),
-        "x2_norm": x2_norm(fld, weight),
-        "parity_deviation": validation.parity_deviation(fld, result.parity, weight, norm0),
-        "decay_fit": decay_rate if result.status == STATUS_CONVERGED else math.nan,
-    }
-    bounds = None
-    if (result.status != STATUS_RESONANCE and result.potential.has_growth_pair
-            and math.isfinite(norm0)):
-        bounds = asdict(validation.bounds_report(result.omega, weight, result.potential, norm0))
+    checks = {"strong_residual": validation.strong_residual(fld, result.potential, weight),
+              "x2_norm": x2_norm(fld, weight),
+              "parity_deviation": validation.parity_deviation(fld, result.parity, weight, norm0),
+              "decay_fit": decay_rate if result.status == STATUS_CONVERGED else math.nan}
+    bounds = (asdict(validation.bounds_report(result.omega, weight, result.potential, norm0))
+              if result.status != STATUS_RESONANCE and result.potential.has_growth_pair
+              and math.isfinite(norm0) else None)
     return {
         "schema_version": SCHEMA_VERSION,
         "config_echo": config_text,
@@ -274,9 +266,8 @@ def build_manifest(result: BreatherResult, decay_rate: float, config_text: str,
 
 
 def decay_columns(amp: np.ndarray, sites: np.ndarray, parity: str):
-    """(abs_n, log_amp, fit_line) columns of the decay file, nearest site first, and
-    the decay rate of the fit line, from the max-amplitude profile ``amp`` over
-    ``sites``; where ``fit_decay_profile`` finds no tail, the rate and line are nan."""
+    """(abs_n, log_amp, fit_line) columns of the decay file, nearest site first, and the
+    line's decay rate (nan, as the line, with no tail), from the profile ``amp`` over ``sites``."""
     center = parity_center(parity)
     dist = np.abs(sites - center)
     with np.errstate(divide="ignore"):
@@ -299,8 +290,7 @@ def _index_grid(outer: np.ndarray, inner: np.ndarray):
 
 def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
                  trajectory=None, dump_nu: bool = False) -> tuple[str, dict]:
-    """Write the manifest and CSV artifacts; returns the manifest's path and the
-    record it holds, as ``build_manifest`` made it (nan and inf kept)."""
+    """Write the manifest and CSV artifacts; returns its path and ``build_manifest``'s record."""
     os.makedirs(out_dir, exist_ok=True)
     grid = result.field.grid
     sites = grid.sites

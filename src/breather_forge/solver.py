@@ -81,10 +81,7 @@ class SolverConfig:
 
 @dataclass
 class BreatherResult:
-    """What a solve produced.  The checks of its field (strong residual, X2 norm,
-    parity deviation, decay fit, bounds) are made where a record is written,
-    by ``cli_io.emit_outputs``, or by ``validation`` directly."""
-
+    """What a solve produced; ``cli_io.build_manifest`` or ``validation`` checks its field."""
     field: SpectralField
     omega: float
     iterations: int
@@ -533,9 +530,8 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
 
     A failed point is bisected once: the midpoint between the last good
     frequency and the failure is solved first and, if it converges, the
-    failed point is retried from its field.  Endpoints must be positive and
-    finite, and grids of them, before any point is solved; points ``band_gap``
-    refuses get a resonance status, not an error.
+    failed point is retried from its field.  Endpoints and their grids are checked
+    first; points ``band_gap`` refuses get a resonance status, not an error.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
