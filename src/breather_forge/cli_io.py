@@ -243,9 +243,9 @@ def _csv_text(header: list[str], *columns) -> str:
 
 def build_manifest(result: BreatherResult, decay_rate: float, config_text: str,
                    artifact_paths: list[str], trajectory=None) -> dict:
-    """A solve's record, before ``_json_safe``: the one place that computes a record's
-    checks of the field, once each.  ``decay_fit`` is ``decay_rate``, the decay file's
-    fit, if converged; bounds are null at resonance or a non-finite X0 norm."""
+    """A solve's record, before ``_json_safe``: the one place a record's checks of the
+    field are computed.  ``decay_fit`` is ``decay_rate`` (the decay file's) if converged;
+    bounds are null at resonance, without a growth pair, or for a non-finite X0 norm."""
     fld, weight, norm0 = result.field, result.weight, result.x0_norm
     checks = {"strong_residual": validation.strong_residual(fld, result.potential, weight),
               "x2_norm": x2_norm(fld, weight),

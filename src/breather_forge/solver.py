@@ -82,6 +82,7 @@ class SolverConfig:
 @dataclass
 class BreatherResult:
     """What a solve produced; ``cli_io.build_manifest`` or ``validation`` checks its field."""
+
     field: SpectralField
     omega: float
     iterations: int
