@@ -17,8 +17,11 @@ sweep) and the totals, which count converged solves, S evaluations and GMRES
 calls and matvecs, by wrapping the names the solver module looks up.  The
 totals also give the most matvecs of any one GMRES call and the number of
 calls that reached the column cap: ``solver.gmres`` runs a single cycle, so
-a call at the cap is a linear solve that may have missed its tolerance.  The
-output is deterministic, so two builds are compared with diff.
+a call at the cap is a linear solve that may have missed its tolerance.  A
+last line counts the sweep's warm attempts, the capped Newton solves that
+``solver.solve`` runs from a start field, and the fallbacks, attempts that
+did not converge and so were followed by the hybrid.  The output is
+deterministic, so two builds are compared with diff.
 """
 
 import math
@@ -29,7 +32,8 @@ from types import SimpleNamespace
 from breather_forge import (GridSpec, PotentialSpec, SolverConfig, WeightSpec,
                             continuation_sweep, hybrid_solve, solve, solver)
 
-COUNTS = {"s_evals": 0, "gmres_calls": 0, "matvecs": 0, "most_matvecs": 0, "at_cap": 0}
+COUNTS = {"s_evals": 0, "gmres_calls": 0, "matvecs": 0, "most_matvecs": 0, "at_cap": 0,
+          "warm": 0, "fallbacks": 0}
 
 
 def _counting(fn, key):
@@ -50,6 +54,15 @@ def _counting_gmres(gmres):
         COUNTS["most_matvecs"] = max(COUNTS["most_matvecs"], matvecs)
         COUNTS["at_cap"] += matvecs >= min(restart, b.size)
         return x
+    return wrapper
+
+
+def _counting_warm(newton_solve):
+    def wrapper(config, initial=None):
+        COUNTS["warm"] += 1
+        result = newton_solve(config, initial)
+        COUNTS["fallbacks"] += result.status != solver.STATUS_CONVERGED
+        return result
     return wrapper
 
 
@@ -91,6 +104,7 @@ def _group(line: str) -> str:
 def main() -> int:
     solver.apply_S = _counting(solver.apply_S, "s_evals")
     solver.gmres = _counting_gmres(solver.gmres)
+    solver.newton_solve = _counting_warm(solver.newton_solve)
     solves = converged = 0
     group_iterations: dict[str, int] = {}
     for line in census():
@@ -106,6 +120,7 @@ def main() -> int:
           f"evaluations, {COUNTS['gmres_calls']} GMRES calls, {COUNTS['matvecs']} matvecs, "
           f"at most {COUNTS['most_matvecs']} in one call, {COUNTS['at_cap']} calls at the "
           "column cap")
+    print(f"warm: {COUNTS['warm']} attempts, {COUNTS['fallbacks']} fallbacks")
     return 0
 
 

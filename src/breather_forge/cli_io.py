@@ -223,14 +223,21 @@ def _atomic_write(path: str, data: str):
 
 
 def _cells(column) -> Iterable[str]:
-    """One column's cells: floats by repr (shortest round trip), integers
-    formatted once per distinct value, strings as they are.  Other cells are
-    made as the lines are joined, so a column's strings are never all held."""
+    """One column's cells: floats by repr (shortest round trip), integers and strings
+    by str.  A numeric column with fewer than half as many distinct values as cells,
+    such as spectrum.csv's index and ``im`` columns, formats each distinct value
+    once; floats are told apart by their bits, so -0.0 stays apart from 0.0.  Other
+    cells are made as the lines are joined, so a column's strings are never all held."""
     values = np.asarray(column)
-    if values.dtype.kind == "i":
-        distinct, where = np.unique(values, return_inverse=True)
-        return np.array(list(map(str, distinct.tolist())), dtype=object)[where].tolist()
-    return map(repr if values.dtype.kind == "f" else str, values.tolist())
+    kind = values.dtype.kind
+    fmt = repr if kind == "f" else str
+    if kind in "if":
+        keys = values.view(np.int64) if kind == "f" else values
+        distinct, first, where = np.unique(keys, return_index=True, return_inverse=True)
+        if 2 * distinct.size < values.size:
+            cells = np.array(list(map(fmt, values[first].tolist())), dtype=object)
+            return cells[where].tolist()
+    return map(fmt, values.tolist())
 
 
 def _csv_text(header: list[str], *columns) -> str:

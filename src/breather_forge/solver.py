@@ -3,11 +3,12 @@
 Zero is always a fixed point of S and, for homogeneous anharmonic forces,
 the radial direction at a nontrivial fixed point is expanding (S scales like
 amplitude**(alpha+1)), so plain damped iteration cannot settle on a breather
-by itself.  Every solve therefore runs damped Picard with Anderson
+by itself.  A cold solve therefore runs damped Picard with Anderson
 residual acceleration to lock in the profile shape, then matrix-free Newton
 on F(x) = x - S(x), whose linear systems the module's own ``gmres`` solves
-in one Arnoldi cycle with scipy's arithmetic.  ``picard_solve`` and
-``newton_solve`` run one phase alone, for the library and the tests.  Each
+in one Arnoldi cycle with scipy's arithmetic.  A warm solve, from a
+neighbouring solution, tries a few Newton rows alone first.  ``picard_solve``
+and ``newton_solve`` run one phase alone, for the library and the tests.  Each
 iterates on its config's half-wave grid (``_working_config``) and returns
 what the solve produced; the one check it makes is the convergence gate.
 """
@@ -27,7 +28,7 @@ from .lattice_model import PotentialSpec
 from .operators import apply_S, linearize_S, ResonanceError
 # x2_norm: unused here, but bench/tracing.py's _TARGETS wrap it
 from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec,
-                             dealiased_sample_count, parity_projector,
+                             check_x2_weights, dealiased_sample_count, parity_projector,
                              seed_field, x0_norm, x2_norm, zero_field)
 
 DIVERGENCE_NORM = 1e6
@@ -40,6 +41,11 @@ PICARD_STALL_ROWS = 8  # rows without a new best before a hybrid solve hands ove
 # S(cx) = c**3 S(x) for the quartic force, so an iterate at half the norm of
 # Picard's best one is pulled further inward: a hybrid solve hands over there.
 PICARD_COLLAPSE_FRACTION = 0.5
+# Rows of a warm solve's Newton attempt.  Over 40 seeds of the 12-point sweep
+# 2.6 -> 2.05 on N = 96, no warm point took more than 5 rows; a coarse step
+# toward the band edge (N = 64, M = 8, 2.6 -> 2.02 in 4 points) lets uncapped
+# Newton wander for 23 rows into a state that fills the lattice.
+WARM_NEWTON_STEPS = 8
 
 STATUS_CONVERGED = "converged"
 STATUS_COLLAPSED = "collapsed_to_zero"
@@ -403,8 +409,10 @@ def _newton_phase(config: SolverConfig, start: SpectralField, outer_budget: int,
 
 def _working_config(config: SolverConfig) -> SolverConfig:
     """The config on its half-wave grid; raises UnsupportedPotentialError on a cubic
-    force, before any iteration.  With W' odd, S maps the class u(t + T/2) = -u(t)
-    into itself (Flach & Gorbach, Phys. Rep. 467 (2008), section 2)."""
+    force and WeightOverflowError on an X2 weight that overflows, before any iteration.
+    With W' odd, S maps the class u(t + T/2) = -u(t) into itself (Flach & Gorbach,
+    Phys. Rep. 467 (2008), section 2)."""
+    check_x2_weights(config.grid, config.weight)
     if config.potential.cubic != 0.0:
         raise UnsupportedPotentialError(
             f"potential.cubic = {config.potential.cubic!r} is not supported: both parity "
@@ -483,10 +491,22 @@ def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
     return _finalize(config, out, trace)
 
 
-def solve(config: SolverConfig, initial: SpectralField | None = None) -> BreatherResult:
-    """Picard, then Newton (``hybrid_solve``): the route of every command.  It converges
-    on all 154 flagship and grid seeds of ``scripts/solve_census.py``, where Picard
-    alone converges on 75 and Newton alone on 124."""
+def solve(config: SolverConfig, initial: SpectralField | None = None,
+          predicted: SpectralField | None = None) -> BreatherResult:
+    """The route of every command.  A cold solve is ``hybrid_solve``, Picard then Newton:
+    it converges on all 154 flagship and grid seeds of ``scripts/solve_census.py``,
+    where Picard alone converges on 75 and Newton alone on 124.
+
+    A warm solve, one given a start field ``initial``, first runs Newton alone for at
+    most ``WARM_NEWTON_STEPS`` rows from ``predicted`` (``initial`` if None) and keeps
+    the result if it converged; otherwise it is ``hybrid_solve(config, initial)``, whose
+    trace holds only the hybrid's rows.
+    """
+    if initial is not None:
+        capped = replace(config, max_iter=min(config.max_iter, WARM_NEWTON_STEPS))
+        warm = newton_solve(capped, initial if predicted is None else predicted)
+        if warm.status == STATUS_CONVERGED:
+            return warm
     return hybrid_solve(config, initial)
 
 
@@ -529,25 +549,37 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
                        steps: int) -> list[BreatherResult]:
     """Solve along a frequency ramp, seeding each point from the last success.
 
+    Each point after the first is a warm ``solve`` from the last converged field;
+    its Newton attempt starts from the secant through the last two converged
+    points, f2 + (Om - Om2) / (Om2 - Om1) (f2 - f1), once there are two
+    (Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2).
     A failed point is bisected once: the midpoint between the last good
     frequency and the failure is solved first and, if it converges, the
-    failed point is retried from its field.  Endpoints and their grids are checked
-    first; points ``band_gap`` refuses get a resonance status, not an error.
+    failed point is retried from its field.  Endpoints, their grids and their X2
+    weights are checked first; points ``band_gap`` refuses get a resonance status,
+    not an error.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     for name, end in (("omega_from", omega_from), ("omega_to", omega_to)):
         if not 0.0 < end < math.inf:
             raise ValueError(f"{name} = {end!r} must be positive and finite")
-        config.with_omega(end)  # GridSpec's range rules
+        # GridSpec's range rules; the X2 weight grows with omega, so its ends bound it
+        check_x2_weights(config.with_omega(end).grid, config.weight)
     omegas = np.linspace(omega_from, omega_to, steps)
     results: list[BreatherResult] = []
     carry: SpectralField | None = None
     last_good_omega: float | None = None  # set whenever carry is
+    before: tuple[float, np.ndarray] | None = None  # omega and coeffs of the one before
     for omega in omegas:
         cfg = config.with_omega(float(omega))
+        predicted = None
+        if before is not None:  # the secant through the last two converged points
+            omega_1, coeffs_1 = before
+            step = (float(omega) - last_good_omega) / (last_good_omega - omega_1)
+            predicted = carry.with_coeffs(carry.coeffs + step * (carry.coeffs - coeffs_1))
         try:
-            res = solve(cfg, carry)
+            res = solve(cfg, carry, predicted)
         except ResonanceError:
             results.append(_resonance_placeholder(cfg))
             continue
@@ -560,6 +592,8 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
                 res = solve(cfg, mid.field)
         results.append(res)
         if res.status == STATUS_CONVERGED:
+            if carry is not None:
+                before = last_good_omega, carry.coeffs
             carry, last_good_omega = res.field, float(omega)
     return results
 

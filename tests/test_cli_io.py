@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import breather_forge
@@ -982,6 +982,28 @@ def test_sweep_refuses_an_endpoint_whose_x2_weight_overflows_before_any_solve(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--omega", "2.2"],
+    ["sweep", "--omega-from", "2.2", "--omega-to", "2.05", "--steps", "3"],
+], ids=["solve", "sweep_endpoint"])
+def test_a_weight_whose_x2_weight_overflows_is_refused_before_any_solve(
+        argv, monkeypatch, tmp_path, capsys):
+    # lambda N/2 = 697.6 passes the site weight's guard; times (omega M)^4 it overflows
+    def no_solve(config, initial=None, predicted=None):
+        raise AssertionError("a point was solved before the weight was checked")
+
+    if argv[0] == "sweep":
+        monkeypatch.setattr(solver, "solve", no_solve)
+    out = tmp_path / "out"
+    rc = run_command([*argv, "--quartic", "1", "--lambda", "21.8", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err.startswith("error: weight overflow: the X2 weight ")
+    assert captured.err.count("\n") == 1
+    assert "lambda = 21.8, omega = 2.2, N = 64, M = 16" in captured.err
+    assert not out.exists()
+
+
 def test_solve_from_a_seed_whose_norm_overflows_writes_its_diverged_record(tmp_path):
     # a process of its own: numpy's overflow warnings, which the suite makes errors,
     # are warnings to the command
@@ -1204,6 +1226,27 @@ def test_csv_text_matches_csv_writer(data, n_rows, kinds):
                else column for kind, column in zip(kinds, cells)]
     header = [f"c{i}" for i in range(len(columns))]
     assert _csv_text(header, *columns) == _reference_csv(header, *cells)
+
+
+@seed(20261021)
+@given(st.data(), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_csv_text_formats_repeated_cells_as_csv_writer_does(data, n_rows):
+    # columns drawn from a few values each, so most take the format-once route
+    values = {"special": st.sampled_from([*_SPECIAL_FLOATS, 2.5e-310]),
+              "float": st.floats(), "int": st.integers(-2**40, 2**40)}
+    cells = []
+    for kind in ("special", "float", "int"):
+        pool = data.draw(st.lists(values[kind], min_size=1, max_size=4))
+        cells.append(data.draw(st.lists(st.sampled_from(pool), min_size=n_rows,
+                                        max_size=n_rows)))
+    header = ["special", "float", "int"]
+    assert _csv_text(header, *map(np.array, cells)) == _reference_csv(header, *cells)
+
+
+def test_csv_text_keeps_a_negative_zero_beside_zero():
+    text = _csv_text(["im"], np.array([0.0, -0.0, 0.0, 0.0, 0.0]))
+    assert text == "im\r\n0.0\r\n-0.0\r\n0.0\r\n0.0\r\n0.0\r\n"
 
 
 def test_csv_text_of_an_empty_trace_is_its_header():

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
-# solve_census.py rebinds solver.apply_S and solver.gmres for the rest of the
-# process to count calls, and takes over a second
+# solve_census.py rebinds solver.apply_S, solver.gmres and solver.newton_solve
+# for the rest of the process to count calls, and takes over a second
 RUNNABLE = [path for path in SCRIPTS if path.name != "solve_census.py"]
 
 

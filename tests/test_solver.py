@@ -512,8 +512,8 @@ def test_sweep_monotone_norms_and_oracle_crosscheck():
 def test_sweep_bisects_a_failed_point(monkeypatch):
     calls = []
 
-    def recorded(cfg, initial=None):
-        res = solve(cfg, initial)
+    def recorded(cfg, initial=None, predicted=None):
+        res = solve(cfg, initial, predicted)
         calls.append((cfg.grid.omega, res.status))
         return res
 
@@ -529,6 +529,49 @@ def test_sweep_bisects_a_failed_point(monkeypatch):
     assert omegas[3] == omegas[5] == 2.02
     assert omegas[4] == 0.5 * (omegas[2] + 2.02)
     assert results[-1].x0_norm == pytest.approx(0.4399, abs=1e-4)
+
+
+def test_warm_sweep_points_converge_in_capped_newton_from_the_secant(monkeypatch):
+    starts = []
+
+    def recorded(config, initial=None):
+        starts.append(initial)
+        return newton_solve(config, initial)
+
+    monkeypatch.setattr(solver_module, "newton_solve", recorded)
+    cfg = SolverConfig(grid=GridSpec.with_dealiasing(32, 8, 2.6), weight=WeightSpec(0.0),
+                       potential=QUARTIC, parity="odd", seed=(0.85, 1.05))
+    results = continuation_sweep(cfg, 2.6, 2.4, 3)
+    f0, f1 = (res.field.coeffs for res in results[:2])
+    w0, w1, w2 = (res.omega for res in results)
+    # the second point starts from the first's field, the third from the secant
+    assert [start.coeffs.tobytes() for start in starts] == [
+        f0.tobytes(), (f1 + (w2 - w1) / (w1 - w0) * (f1 - f0)).tobytes()]
+    for res in results[1:]:
+        cold = hybrid_solve(cfg.with_omega(res.omega))
+        assert res.status == cold.status == "converged"
+        assert res.iterations <= solver_module.WARM_NEWTON_STEPS
+        assert res.x0_norm == pytest.approx(cold.x0_norm, rel=1e-10, abs=0.0)
+
+
+def test_a_warm_solve_that_misses_is_the_hybrid_from_its_start(monkeypatch, flagship_result):
+    attempts = []
+
+    def missing(config, initial=None):
+        attempts.append((config.max_iter, initial))
+        return newton_solve(replace(config, max_iter=1), initial)
+
+    monkeypatch.setattr(solver_module, "newton_solve", missing)
+    cfg = flagship_config("odd").with_omega(2.3)
+    carry = flagship_result.field
+    predicted = carry.with_coeffs(1.01 * carry.coeffs)
+    got = solve(cfg, carry, predicted)
+    assert [(cap, start is predicted) for cap, start in attempts] == [
+        (solver_module.WARM_NEWTON_STEPS, True)]
+    want = hybrid_solve(cfg, carry)
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert got.field.coeffs.tobytes() == want.field.coeffs.tobytes()
+    assert repr(got.trace) == repr(want.trace)
 
 
 def test_sweep_reports_resonant_points():

@@ -171,6 +171,31 @@ def test_weight_overflow_guard():
         x0_norm(zero_field(GridSpec(4096, 4, 16, 3.0)), WeightSpec(0.5))
 
 
+@pytest.mark.parametrize("n_sites, n_harmonics, omega, center", [
+    (64, 16, 2.2, 0.0), (96, 16, 2.6, 0.0), (32, 8, 3.0, 0.0), (32, 16, 200.0, -0.5)])
+def test_x2_weight_rule_refuses_exactly_the_tables_that_overflow(n_sites, n_harmonics,
+                                                                 omega, center):
+    grid = GridSpec.with_dealiasing(n_sites, n_harmonics, omega)
+    refused = finite = 0
+    for lam in np.linspace(1400.0 / n_sites - 1.0, 1400.0 / n_sites, 201):
+        weight = WeightSpec(float(lam), center)
+        with np.errstate(over="ignore"):  # the oracle: the table itself
+            table = spectral_field._site_weights(n_sites, weight)[:, None] * 2.0 * (
+                1.0 + (omega * grid.harmonics) ** 2 + (omega * grid.harmonics) ** 4)
+        overflows = not np.all(np.isfinite(table))
+        try:
+            spectral_field.check_x2_weights(grid, weight)
+        except WeightOverflowError as exc:
+            assert overflows, f"lambda = {lam!r} refused, but its table is finite"
+            assert "X2 weight" in str(exc)
+            refused += 1
+        else:
+            assert not overflows, f"lambda = {lam!r} passed, but its table overflows"
+            x2_norm(seed_field(grid, "odd", 0.8, 1.0), weight)  # no warning
+            finite += 1
+    assert refused and finite
+
+
 def test_x0_norm_single_mode():
     field = single_mode_field(GRID, 0, 1, 0.5)
     assert x0_norm(field, WeightSpec(0.0)) == pytest.approx(1.0 / math.sqrt(2.0),
