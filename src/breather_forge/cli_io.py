@@ -224,20 +224,19 @@ def _atomic_write(path: str, data: str):
 
 def _cells(column) -> Iterable[str]:
     """One column's cells: floats by repr (shortest round trip), integers and strings
-    by str.  A numeric column with fewer than half as many distinct values as cells,
-    such as spectrum.csv's index and ``im`` columns, formats each distinct value
-    once; floats are told apart by their bits, so -0.0 stays apart from 0.0.  Other
-    cells are made as the lines are joined, so a column's strings are never all held."""
+    by str.  A numeric column formats each distinct value once, which pays off on
+    repeated cells such as spectrum.csv's index and ``im`` columns; floats are told
+    apart by their bits, so -0.0 stays apart from 0.0.  String cells are made as the
+    lines are joined."""
     values = np.asarray(column)
     kind = values.dtype.kind
-    fmt = repr if kind == "f" else str
     if kind in "if":
         keys = values.view(np.int64) if kind == "f" else values
-        distinct, first, where = np.unique(keys, return_index=True, return_inverse=True)
-        if 2 * distinct.size < values.size:
-            cells = np.array(list(map(fmt, values[first].tolist())), dtype=object)
-            return cells[where].tolist()
-    return map(fmt, values.tolist())
+        _, first, where = np.unique(keys, return_index=True, return_inverse=True)
+        fmt = repr if kind == "f" else str
+        cells = np.array(list(map(fmt, values[first].tolist())), dtype=object)
+        return cells[where].tolist()
+    return map(str, values.tolist())
 
 
 def _csv_text(header: list[str], *columns) -> str:

@@ -551,11 +551,12 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
 
     Each point after the first is a warm ``solve`` from the last converged field;
     its Newton attempt starts from the secant through the last two converged
-    points, f2 + (Om - Om2) / (Om2 - Om1) (f2 - f1), once there are two
-    (Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2).
-    A failed point is bisected once: the midpoint between the last good
-    frequency and the failure is solved first and, if it converges, the
-    failed point is retried from its field.  Endpoints, their grids and their X2
+    points, f2 + (Om - Om2) / (Om2 - Om1) (f2 - f1), once there are two at
+    different frequencies (Allgower & Georg, Introduction to Numerical
+    Continuation Methods, ch. 2).  A failed point is bisected once: the midpoint
+    between the last good frequency and the failure is solved first and, if it
+    converges, the failed point is retried from its field; both are warm solves
+    without a predictor.  Endpoints, their grids and their X2
     weights are checked first; points ``band_gap`` refuses get a resonance status,
     not an error.
     """
@@ -574,7 +575,8 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
     for omega in omegas:
         cfg = config.with_omega(float(omega))
         predicted = None
-        if before is not None:  # the secant through the last two converged points
+        # the secant through the last two converged points, if their frequencies differ
+        if before is not None and before[0] != last_good_omega:
             omega_1, coeffs_1 = before
             step = (float(omega) - last_good_omega) / (last_good_omega - omega_1)
             predicted = carry.with_coeffs(carry.coeffs + step * (carry.coeffs - coeffs_1))

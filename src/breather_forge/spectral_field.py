@@ -226,14 +226,14 @@ def check_x2_weights(grid: GridSpec, w: WeightSpec) -> None:
     """Raise WeightOverflowError if an X2 weight of the grid overflows a double.
 
     The grid bounds (Om M)^4 and ``_site_weights`` bounds w_n, each alone; this bounds
-    their product.  The largest entry of ``_x2_weights`` is at the outermost site and
-    m = M, and is computed here as it is there, in Python floats, which overflow to
-    inf without a warning.
+    their product.  The largest entry of ``_x2_weights`` is at m = M and at the first
+    or last site, whichever lies farther from the centre, and is computed here as it
+    is there, in Python floats, which overflow to inf without a warning.
     """
     top = grid.omega * grid.n_harmonics
     om2 = top * top
-    if not math.isfinite(float(_site_weights(grid.n_sites, w)[0]) * 2.0
-                         * (1.0 + om2 + om2 * om2)):
+    wn = _site_weights(grid.n_sites, w)
+    if not math.isfinite(float(max(wn[0], wn[-1])) * 2.0 * (1.0 + om2 + om2 * om2)):
         raise WeightOverflowError(
             f"weight overflow: the X2 weight 2 exp(lambda |n - c|) (1 + (omega m)^2 + "
             f"(omega m)^4) exceeds the double range at lambda = {w.lam!r}, "

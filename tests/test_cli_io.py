@@ -744,6 +744,17 @@ def test_sweep_command(tmp_path, capsys):
         assert (tmp_path / "sw" / f"point_{idx:03d}" / "manifest.json").exists()
 
 
+def test_sweep_with_equal_endpoints_solves_every_point(tmp_path):
+    # three points at one frequency: no secant through two equal frequencies
+    out = tmp_path / "sw"
+    rc = run_command(["sweep", "--omega-from", "2.6", "--omega-to", "2.6", "--steps", "3",
+                      "--quartic", "1", "--n-sites", "32", "--harmonics", "8",
+                      "--seed-amplitude", "0.8", "--out", str(out)])
+    assert rc == 0
+    lines = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:2] for line in lines] == [["2.6", "converged"]] * 3
+
+
 def test_solve_writes_no_samples(tmp_path):
     out = tmp_path / "out"
     rc = run_command(["solve", "--omega", "2.6", "--quartic", "1", "--n-sites", "32",

@@ -172,7 +172,8 @@ def test_weight_overflow_guard():
 
 
 @pytest.mark.parametrize("n_sites, n_harmonics, omega, center", [
-    (64, 16, 2.2, 0.0), (96, 16, 2.6, 0.0), (32, 8, 3.0, 0.0), (32, 16, 200.0, -0.5)])
+    (64, 16, 2.2, 0.0), (96, 16, 2.6, 0.0), (32, 8, 3.0, 0.0), (32, 16, 200.0, -0.5),
+    (64, 16, 2.2, -1.0)])
 def test_x2_weight_rule_refuses_exactly_the_tables_that_overflow(n_sites, n_harmonics,
                                                                  omega, center):
     grid = GridSpec.with_dealiasing(n_sites, n_harmonics, omega)
