@@ -93,7 +93,7 @@ def census():
                 yield _line(f"grid {quartic} {omega} N={n_sites} {parity}", result)
     config = _config(GridSpec.with_dealiasing(96, 16, 2.6), 1.0, "odd", (0.87, 1.05))
     for result in continuation_sweep(config, 2.6, 2.05, 12):
-        yield _line(f"sweep {result.omega!r}", result)
+        yield _line(f"sweep {result.config.grid.omega!r}", result)
 
 
 def _group(line: str) -> str:

@@ -37,9 +37,6 @@ from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec, max_
 
 SCHEMA_VERSION = 1
 _TRACE_HEADER = ["iter", "fp_residual", "x0_norm"]
-# a manifest's result object, in order: BreatherResult fields and build_manifest's checks
-_RESULT_KEYS = ("status", "omega", "iterations", "fp_residual", "strong_residual",
-                "x0_norm", "x2_norm", "parity_deviation", "decay_fit", "parity")
 
 
 class ConfigError(ValueError):
@@ -247,24 +244,28 @@ def _csv_text(header: list[str], *columns) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-def build_manifest(result: BreatherResult, decay_rate: float, config_text: str,
-                   artifact_paths: list[str], trajectory=None) -> dict:
-    """A solve's record, before ``_json_safe``: the one place a record's checks of the
-    field are computed.  ``decay_fit`` is ``decay_rate`` (the decay file's) if converged;
-    bounds are null at resonance, without a growth pair, or for a non-finite X0 norm."""
-    fld, weight, norm0 = result.field, result.weight, result.x0_norm
-    checks = {"strong_residual": validation.strong_residual(fld, result.potential, weight),
-              "x2_norm": x2_norm(fld, weight),
-              "parity_deviation": validation.parity_deviation(fld, result.parity, weight, norm0),
-              "decay_fit": decay_rate if result.status == STATUS_CONVERGED else math.nan}
-    bounds = (asdict(validation.bounds_report(result.omega, weight, result.potential, norm0))
-              if result.status != STATUS_RESONANCE and result.potential.has_growth_pair
+def build_manifest(result: BreatherResult, decay_rate: float, artifact_paths: list[str],
+                   trajectory=None) -> dict:
+    """A solve's record, before ``_json_safe``, echoing ``result.config``: the one place a
+    record's checks of the field are computed.  ``decay_fit`` is ``decay_rate``, the decay
+    file's, if converged; bounds are null at resonance, without a growth pair, or at a
+    non-finite X0 norm."""
+    fld, config, norm0 = result.field, result.config, result.x0_norm
+    weight, potential = config.weight, config.potential
+    bounds = (asdict(validation.bounds_report(config.grid.omega, weight, potential, norm0))
+              if result.status != STATUS_RESONANCE and potential.has_growth_pair
               and math.isfinite(norm0) else None)
     return {
         "schema_version": SCHEMA_VERSION,
-        "config_echo": config_text,
-        "result": {key: checks[key] if key in checks else getattr(result, key)
-                   for key in _RESULT_KEYS},
+        "config_echo": serialize_config(config),
+        "result": {
+            "status": result.status, "omega": config.grid.omega,
+            "iterations": result.iterations, "fp_residual": result.fp_residual,
+            "strong_residual": validation.strong_residual(fld, potential, weight),
+            "x0_norm": norm0, "x2_norm": x2_norm(fld, weight),
+            "parity_deviation": validation.parity_deviation(fld, config.parity, weight, norm0),
+            "decay_fit": decay_rate if result.status == STATUS_CONVERGED else math.nan,
+            "parity": config.parity},
         "bounds": bounds,
         "trajectory": asdict(trajectory) if trajectory is not None else None,
         "artifact_paths": artifact_paths,
@@ -294,8 +295,8 @@ def _index_grid(outer: np.ndarray, inner: np.ndarray):
     return np.repeat(outer, inner.size), np.tile(inner, outer.size)
 
 
-def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
-                 trajectory=None, dump_nu: bool = False) -> tuple[str, dict]:
+def emit_outputs(result: BreatherResult, out_dir: str, trajectory=None,
+                 dump_nu: bool = False) -> tuple[str, dict]:
     """Write the manifest and CSV artifacts; returns its path and ``build_manifest``'s record."""
     os.makedirs(out_dir, exist_ok=True)
     grid = result.field.grid
@@ -314,14 +315,14 @@ def emit_outputs(result: BreatherResult, out_dir: str, config_text: str,
     coeffs = result.field.coeffs.ravel()
     write("spectrum.csv", ["n", "m", "re", "im"],
           *_index_grid(sites, grid.harmonics), coeffs, np.zeros_like(coeffs))
-    *decay, decay_rate = decay_columns(amp, sites, result.parity)
+    *decay, decay_rate = decay_columns(amp, sites, result.config.parity)
     write("decay.csv", ["abs_n", "log_amp", "fit_line"], *decay)
     if dump_nu:
         write("nu_table.csv", ["m", "j", "nu"],
               *_index_grid(grid.harmonics, np.arange(grid.n_sites)),
               Multiplier.build(grid).table.ravel())
 
-    manifest = build_manifest(result, decay_rate, config_text, artifacts, trajectory)
+    manifest = build_manifest(result, decay_rate, artifacts, trajectory)
     path = os.path.join(out_dir, "manifest.json")
     _atomic_write(path, json.dumps(_json_safe(manifest), indent=2, allow_nan=False) + "\n")
     return path, manifest
@@ -403,8 +404,7 @@ def _cmd_solve(args) -> int:
                 args.steps_per_period)
         except validation.BlowUpError as exc:
             print(f"trajectory blow-up: {exc}", file=sys.stderr)
-    manifest_path, manifest = emit_outputs(result, args.out, serialize_config(config),
-                                           trajectory, dump_nu=args.dump_nu)
+    manifest_path, manifest = emit_outputs(result, args.out, trajectory, dump_nu=args.dump_nu)
     record, bounds = manifest["result"], manifest["bounds"]
     print(f"status = {record['status']}")
     for key in ("iterations", "fp_residual", "x0_norm", "decay_fit"):
@@ -424,12 +424,12 @@ def _cmd_sweep(args) -> int:
     results = continuation_sweep(config, args.omega_from, args.omega_to, args.steps)
     os.makedirs(args.out, exist_ok=True)
     for idx, res in enumerate(results):
-        point_dir = os.path.join(args.out, f"point_{idx:03d}")
-        emit_outputs(res, point_dir, serialize_config(config.with_omega(res.omega)))
-        print(f"omega = {res.omega:.6f}  status = {res.status}  x0_norm = {res.x0_norm!r}")
+        emit_outputs(res, os.path.join(args.out, f"point_{idx:03d}"))
+        omega = res.config.grid.omega
+        print(f"omega = {omega:.6f}  status = {res.status}  x0_norm = {res.x0_norm!r}")
     _atomic_write(os.path.join(args.out, "sweep.csv"), _csv_text(
         ["omega", "status", "x0_norm", "fp_residual"],
-        *zip(*((res.omega, res.status, res.x0_norm, res.fp_residual) for res in results))))
+        *zip(*((r.config.grid.omega, r.status, r.x0_norm, r.fp_residual) for r in results))))
     return 0
 
 

@@ -87,17 +87,15 @@ class SolverConfig:
 
 @dataclass
 class BreatherResult:
-    """What a solve produced; ``cli_io.build_manifest`` or ``validation`` checks its field."""
+    """What a solve produced on ``config``, the caller's config (not the half-wave working
+    one); ``cli_io.build_manifest`` echoes that config and checks the field."""
 
     field: SpectralField
-    omega: float
+    config: SolverConfig
     iterations: int
     fp_residual: float
     x0_norm: float
     status: str
-    parity: str
-    weight: WeightSpec
-    potential: PotentialSpec
     trace: list[tuple[int, float, float]] = dataclass_field(default_factory=list)
     refinement_change: float | None = None
 
@@ -135,10 +133,9 @@ class _Outcome:
 def _finalize(config: SolverConfig, out: _Outcome, trace: list) -> BreatherResult:
     fld = _interpolate(out.field, config.grid)  # m the solve did not store are 0.0
     return BreatherResult(
-        field=fld, omega=config.grid.omega, iterations=len(trace) - 1 if trace else 0,
+        field=fld, config=config, iterations=len(trace) - 1 if trace else 0,
         fp_residual=out.fp_residual, x0_norm=x0_norm(fld, config.weight),
         status=out.status if out.status is not None else STATUS_MAX_ITER,
-        parity=config.parity, weight=config.weight, potential=config.potential,
         trace=list(trace))
 
 
@@ -499,14 +496,14 @@ def solve(config: SolverConfig, initial: SpectralField | None = None,
 
     A warm solve, one given a start field ``initial``, first runs Newton alone for at
     most ``WARM_NEWTON_STEPS`` rows from ``predicted`` (``initial`` if None) and keeps
-    the result if it converged; otherwise it is ``hybrid_solve(config, initial)``, whose
-    trace holds only the hybrid's rows.
+    the result, with ``config`` rather than the capped one, if it converged; otherwise it
+    is ``hybrid_solve(config, initial)``, whose trace holds only the hybrid's rows.
     """
     if initial is not None:
         capped = replace(config, max_iter=min(config.max_iter, WARM_NEWTON_STEPS))
         warm = newton_solve(capped, initial if predicted is None else predicted)
         if warm.status == STATUS_CONVERGED:
-            return warm
+            return replace(warm, config=config)
     return hybrid_solve(config, initial)
 
 
@@ -535,11 +532,11 @@ def refine(result: BreatherResult, factor: int) -> BreatherResult:
         raise ValueError("factor must be >= 1")
     old_grid = result.field.grid
     n_harm = old_grid.n_harmonics * factor
+    old = result.config
     n_t = max(old_grid.n_time_samples * factor,
-              dealiased_sample_count(n_harm, result.potential.wprime_degree))
+              dealiased_sample_count(n_harm, old.potential.wprime_degree))
     grid = GridSpec(old_grid.n_sites * factor, n_harm, n_t, old_grid.omega)
-    config = SolverConfig(grid=grid, weight=result.weight, potential=result.potential,
-                          parity=result.parity)
+    config = SolverConfig(grid, old.weight, old.potential, old.parity)
     refined = newton_solve(config, result.field)
     refined.refinement_change = abs(refined.x0_norm - result.x0_norm)
     return refined
@@ -583,7 +580,8 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
         try:
             res = solve(cfg, carry, predicted)
         except ResonanceError:
-            results.append(_resonance_placeholder(cfg))
+            results.append(_finalize(cfg, _Outcome(STATUS_RESONANCE, zero_field(cfg.grid),
+                                                   math.nan), []))
             continue
         if res.status != STATUS_CONVERGED and carry is not None:
             # no ResonanceError: the midpoint lies above a frequency that cleared
@@ -599,9 +597,3 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
             carry, last_good_omega = res.field, float(omega)
     return results
 
-
-def _resonance_placeholder(config: SolverConfig) -> BreatherResult:
-    return BreatherResult(
-        field=zero_field(config.grid), omega=config.grid.omega, iterations=0,
-        fp_residual=float("nan"), x0_norm=0.0, status=STATUS_RESONANCE,
-        parity=config.parity, weight=config.weight, potential=config.potential, trace=[])

@@ -122,7 +122,7 @@ def decay_rate_fit(result) -> tuple[float, float]:
     """Decay rate and goodness of fit for a converged solve result."""
     if result.status != "converged":
         raise ValueError(f"decay fit needs a converged result, got {result.status!r}")
-    return fit_decay_profile(max_amplitude_profile(result.field), parity_center(result.parity))
+    return fit_decay_profile(max_amplitude_profile(result.field), parity_center(result.config.parity))
 
 
 def parity_deviation(field: SpectralField, parity: str, weight: WeightSpec,

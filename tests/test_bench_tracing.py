@@ -69,7 +69,7 @@ def test_a_traced_solve_passes_through_each_solver_layer(installed, tmp_path):
     tracer.begin_op()
     result = solver.hybrid_solve(_small_config())
     # a bare solve fits no decay: the record writer's fit for decay.csv does
-    cli_io.emit_outputs(result, str(tmp_path), "")
+    cli_io.emit_outputs(result, str(tmp_path))
     tracer.end_op()
     assert result.status == solver.STATUS_CONVERGED
     seen = set(tracer.names)

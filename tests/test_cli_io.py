@@ -740,8 +740,17 @@ def test_sweep_command(tmp_path, capsys):
     lines = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "omega,status,x0_norm,fp_residual"
     assert len(lines) == 4
-    for idx in range(3):
-        assert (tmp_path / "sw" / f"point_{idx:03d}" / "manifest.json").exists()
+    # each point, the two warm ones among them, echoes the config it was solved on,
+    # and that config's grid reads the point's spectrum
+    config = parse_config("omega = 2.6\npotential.quartic = 1\ngrid.n_sites = 32\n"
+                          "grid.n_harmonics = 8\nsolver.seed_amplitude = 0.8\n")
+    for idx, omega in enumerate(np.linspace(2.6, 2.4, 3)):
+        point = tmp_path / "sw" / f"point_{idx:03d}"
+        manifest = load_manifest(str(point / "manifest.json"))
+        assert manifest["config_echo"] == serialize_config(config.with_omega(float(omega)))
+        echoed = parse_config(manifest["config_echo"])
+        field = field_from_spectrum_csv(str(point / "spectrum.csv"), echoed.grid)
+        assert x0_norm(field, echoed.weight) == manifest["result"]["x0_norm"]
 
 
 def test_sweep_with_equal_endpoints_solves_every_point(tmp_path):
@@ -1072,7 +1081,7 @@ def test_a_solve_makes_one_check_and_the_record_writer_makes_the_rest(monkeypatc
     counts.clear()
     for module in (cli_io, validation):
         _counting(monkeypatch, counts, module, "max_amplitude_profile")
-    path, _ = cli_io.emit_outputs(result, str(tmp_path), serialize_config(flagship_config("odd")))
+    path, _ = cli_io.emit_outputs(result, str(tmp_path))
     assert counts["max_amplitude_profile"] == 1 and counts["fit_decay_profile"] == 1
     monkeypatch.undo()
     assert run_command(["verify", "--manifest", path]) == 0

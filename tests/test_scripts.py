@@ -1,12 +1,15 @@
 """Every script under scripts/ still imports what it uses from the package, and
-every script but the census runs to completion.
+runs to completion.
 
 Each script runs ``main()`` only under ``__main__``, so loading it under
 another name executes just its imports and top-level constants; the second
 test then calls ``main()`` with the output directory as its one argument.
+The census runs in a process of its own.
 """
 
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +17,7 @@ import pytest
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 # solve_census.py rebinds solver.apply_S, solver.gmres and solver.newton_solve
-# for the rest of the process to count calls, and takes over a second
+# for the rest of the process to count calls, so it runs in a subprocess
 RUNNABLE = [path for path in SCRIPTS if path.name != "solve_census.py"]
 
 
@@ -36,3 +39,15 @@ def test_script_main_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [path.name, str(tmp_path / "out")])
     assert main() == 0
     assert capsys.readouterr().out
+
+
+def test_census_converges_on_every_solve():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    census = next(path for path in SCRIPTS if path.name == "solve_census.py")
+    proc = subprocess.run([sys.executable, str(census)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    totals = [line for line in proc.stdout.splitlines() if line.startswith("total: ")]
+    assert len(totals) == 1 and totals[0].startswith("total: 166 solves, 166 converged"), totals

@@ -116,7 +116,7 @@ def test_converged_result_invariants(flagship_result):
     cfg = flagship_config("odd")
     res = flagship_result
     # the numbers a record of this result holds, from the record writer
-    record = build_manifest(res, decay_rate_fit(res)[0], "", [])
+    record = build_manifest(res, decay_rate_fit(res)[0], [])
     numbers = record["result"]
     assert res.fp_residual <= cfg.tol_residual
     assert numbers["strong_residual"] <= 10.0 * cfg.tol_residual * numbers["x2_norm"]
@@ -475,7 +475,7 @@ def test_ring_membership_at_high_frequency():
                        max_iter=400)
     res = hybrid_solve(cfg)
     assert res.status == "converged"
-    bounds = bounds_report(res.omega, res.weight, res.potential, res.x0_norm)
+    bounds = bounds_report(grid.omega, cfg.weight, cfg.potential, res.x0_norm)
     assert bounds.nonres_ok
     assert res.x0_norm >= bounds.r_crit
     print(f"ring upper-bound gap: x0 = {res.x0_norm:.6f} vs r_max = "
@@ -486,7 +486,7 @@ def test_sweep_single_step_degenerates_to_solve(flagship_result):
     cfg = flagship_config("odd")
     results = continuation_sweep(cfg, cfg.grid.omega, 2.4, 1)
     assert len(results) == 1
-    assert results[0].omega == cfg.grid.omega
+    assert results[0].config == cfg
     assert results[0].status == "converged"
     assert np.array_equal(results[0].field.coeffs, flagship_result.field.coeffs)
 
@@ -502,7 +502,7 @@ def test_sweep_monotone_norms_and_oracle_crosscheck():
     # independent shooting solves at three interior frequencies
     for idx in (2, 5, 7):
         res = results[idx]
-        oracle = shooting_orbit(QUARTIC, res.omega, 32,
+        oracle = shooting_orbit(QUARTIC, res.config.grid.omega, 32,
                                 staggered_guess(32, 0.8, 0.9))
         spectral = central_block(profile_at_t0(res.field), 32)
         rel = np.linalg.norm(spectral - oracle) / np.linalg.norm(oracle)
@@ -543,12 +543,12 @@ def test_warm_sweep_points_converge_in_capped_newton_from_the_secant(monkeypatch
                        potential=QUARTIC, parity="odd", seed=(0.85, 1.05))
     results = continuation_sweep(cfg, 2.6, 2.4, 3)
     f0, f1 = (res.field.coeffs for res in results[:2])
-    w0, w1, w2 = (res.omega for res in results)
+    w0, w1, w2 = (res.config.grid.omega for res in results)
     # the second point starts from the first's field, the third from the secant
     assert [start.coeffs.tobytes() for start in starts] == [
         f0.tobytes(), (f1 + (w2 - w1) / (w1 - w0) * (f1 - f0)).tobytes()]
     for res in results[1:]:
-        cold = hybrid_solve(cfg.with_omega(res.omega))
+        cold = hybrid_solve(cfg.with_omega(res.config.grid.omega))
         assert res.status == cold.status == "converged"
         assert res.iterations <= solver_module.WARM_NEWTON_STEPS
         assert res.x0_norm == pytest.approx(cold.x0_norm, rel=1e-10, abs=0.0)
@@ -584,7 +584,7 @@ def test_sweep_reports_resonant_points():
     assert statuses[-1] == "resonance"
     assert statuses[0] == "converged"
     for r in results:
-        if r.omega**2 <= 4.0:
+        if r.config.grid.omega**2 <= 4.0:
             assert r.status == "resonance"
 
 
@@ -625,7 +625,7 @@ def test_refine_rejects_unconverged():
 def test_solved_field_is_on_the_config_grid_with_even_harmonics_zero(flagship_result,
                                                                      flagship_even_result):
     for result in (flagship_result, flagship_even_result):
-        assert result.field.grid == flagship_config(result.parity).grid
+        assert result.field.grid == flagship_config(result.config.parity).grid
         assert np.all(result.field.coeffs[:, 1::2] == 0.0)
         assert np.any(result.field.coeffs[:, ::2] != 0.0)
 

@@ -126,8 +126,8 @@ def test_strong_residual_cases(flagship_result):
     noise = SpectralField(grid, rng.standard_normal((32, 8)))
     assert strong_residual(noise, QUARTIC) > 0.0
     res = flagship_result
-    assert (strong_residual(res.field, QUARTIC, res.weight)
-            <= 10.0 * 1e-10 * x2_norm(res.field, res.weight))
+    assert (strong_residual(res.field, QUARTIC, res.config.weight)
+            <= 10.0 * 1e-10 * x2_norm(res.field, res.config.weight))
 
 
 def test_classical_residual_flagship(flagship_result):
