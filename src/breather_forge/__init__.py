@@ -12,9 +12,8 @@ from .solver import (BreatherResult, SolverConfig, UnsupportedPotentialError,
 from .spectral_field import (GridSpec, SpectralField, WeightOverflowError,
                              WeightSpec, analyze, max_amplitude_profile,
                              parity_projector, project_even, project_odd,
-                             random_field, seed_field, synthesize, time_means,
-                             weighted_profile_norm, weights, x0_norm, x2_norm,
-                             zero_field)
+                             random_field, seed_field, synthesize,
+                             weighted_profile_norm, x0_norm, x2_norm, zero_field)
 from .validation import (BlowUpError, BoundsReport, InsufficientTailError,
                          TrajectoryReport, boundary_floor, bounds_report,
                          decay_rate_fit, fit_decay_profile, initial_conditions,

@@ -272,22 +272,19 @@ def build_manifest(result: BreatherResult, decay_rate: float, artifact_paths: li
     }
 
 
-def decay_columns(amp: np.ndarray, sites: np.ndarray, parity: str):
+def decay_columns(amp: np.ndarray, log_amp: np.ndarray, sites: np.ndarray, parity: str):
     """(abs_n, log_amp, fit_line) columns of the decay file, nearest site first, and the
-    line's decay rate (nan, as the line, with no tail), from the profile ``amp`` over ``sites``."""
+    line's decay rate (nan, as the line, with no tail): ``validation.fit_decay_profile``'s
+    line drawn over ``sites``, beside ``log_amp``, the log of the profile ``amp``."""
     center = parity_center(parity)
     dist = np.abs(sites - center)
-    with np.errstate(divide="ignore"):
-        logs = np.log(amp)
     try:
-        rate, _ = validation.fit_decay_profile(amp, center)
-        mask = validation.tail_mask(amp)
-        intercept = float(np.mean(logs[mask] + rate * dist[mask]))
+        rate, intercept, _ = validation.fit_decay_profile(amp, center)
         fit = intercept - rate * dist
     except ValueError:  # InsufficientTailError among them
         rate, fit = math.nan, np.full_like(dist, math.nan)
     order = np.argsort(dist, kind="stable")
-    return dist[order], logs[order], fit[order], rate
+    return dist[order], log_amp[order], fit[order], rate
 
 
 def _index_grid(outer: np.ndarray, inner: np.ndarray):
@@ -315,7 +312,7 @@ def emit_outputs(result: BreatherResult, out_dir: str, trajectory=None,
     coeffs = result.field.coeffs.ravel()
     write("spectrum.csv", ["n", "m", "re", "im"],
           *_index_grid(sites, grid.harmonics), coeffs, np.zeros_like(coeffs))
-    *decay, decay_rate = decay_columns(amp, sites, result.config.parity)
+    *decay, decay_rate = decay_columns(amp, log_amp, sites, result.config.parity)
     write("decay.csv", ["abs_n", "log_amp", "fit_line"], *decay)
     if dump_nu:
         write("nu_table.csv", ["m", "j", "nu"],

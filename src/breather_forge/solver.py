@@ -28,8 +28,8 @@ from .lattice_model import PotentialSpec
 from .operators import apply_S, linearize_S, ResonanceError
 # x2_norm: unused here, but bench/tracing.py's _TARGETS wrap it
 from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec,
-                             check_x2_weights, dealiased_sample_count, parity_projector,
-                             seed_field, x0_norm, x2_norm, zero_field)
+                             check_x2_weights, dealiased_sample_count, parity_center,
+                             parity_projector, seed_field, x0_norm, x2_norm, zero_field)
 
 DIVERGENCE_NORM = 1e6
 COLLAPSE_NORM = 1e-8  # an X0 norm at or below this has collapsed to zero
@@ -79,6 +79,10 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.parity not in PARITIES:
             raise ValueError(f"unknown parity {self.parity!r}")
+        if self.weight.center != parity_center(self.parity):
+            # a record echoes the parity alone, and is re-read with its class's centre
+            raise ValueError(f"weight.center = {self.weight.center!r} is not the {self.parity} "
+                             f"class's centre {parity_center(self.parity)!r}")
 
     def with_omega(self, omega: float) -> "SolverConfig":
         """This config at another frequency."""
@@ -118,8 +122,7 @@ class _Outcome:
 
     A None status means the phase stopped at a handover point, a stall or its
     budget; a solve that ends there reports ``max_iter``.  ``best_field`` is
-    Picard's lowest-residual iterate, which a hybrid solve hands to Newton,
-    and ``best_norm`` its X0 norm.
+    Picard's lowest-residual iterate, which a hybrid solve hands to Newton.
     """
 
     status: str | None
@@ -127,7 +130,6 @@ class _Outcome:
     fp_residual: float
     best_field: SpectralField | None = None
     best_residual: float = float("inf")
-    best_norm: float = 0.0
 
 
 def _finalize(config: SolverConfig, out: _Outcome, trace: list) -> BreatherResult:
@@ -220,7 +222,7 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
         if status is not None or (handover and (
                 fp_res <= PICARD_TO_NEWTON_RESIDUAL or since_best >= PICARD_STALL_ROWS
                 or norm < PICARD_COLLAPSE_FRACTION * best_norm)):
-            return _Outcome(status, x_field, fp_res, best_field, best_res, best_norm)
+            return _Outcome(status, x_field, fp_res, best_field, best_res)
         x_vec, f_vec = x_field.coeffs.ravel(), res_field.coeffs.ravel()
         if x_prev is not None:
             history.append((x_vec - x_prev, f_vec - f_prev))
@@ -235,7 +237,7 @@ def _picard_phase(config: SolverConfig, start: SpectralField, budget: int,
             new_vec = x_vec + PICARD_DAMPING * f_vec
             history.clear()
         x_field = project(_as_field(config.grid, new_vec))
-    return _Outcome(None, best_field, best_res, best_field, best_res, best_norm)
+    return _Outcome(None, best_field, best_res, best_field, best_res)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -479,11 +481,11 @@ def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
     # Picard sliding into the zero basin or running away does not end a
     # hybrid solve: Newton is attempted from the best iterate whenever that
     # iterate still carries a nontrivial shape (a strict residual below 1
-    # excludes the exact-collapse case where S is identically zero) and
-    # the budget of max_iter trace rows has some left.
+    # excludes the exact-collapse case where S is identically zero, and is
+    # finite only at an X0 norm above COLLAPSE_NORM) and the budget of
+    # max_iter trace rows has some left.
     outer = min(60, config.max_iter - len(trace))
-    if (out.status != STATUS_CONVERGED and out.best_residual < 1.0 and outer > 0
-            and out.best_norm > COLLAPSE_NORM):
+    if out.status != STATUS_CONVERGED and out.best_residual < 1.0 and outer > 0:
         out = _newton_phase(work, _radial_rescale(work, out.best_field), outer, trace)
     return _finalize(config, out, trace)
 
@@ -566,34 +568,31 @@ def continuation_sweep(config: SolverConfig, omega_from: float, omega_to: float,
         check_x2_weights(config.with_omega(end).grid, config.weight)
     omegas = np.linspace(omega_from, omega_to, steps)
     results: list[BreatherResult] = []
-    carry: SpectralField | None = None
-    last_good_omega: float | None = None  # set whenever carry is
-    before: tuple[float, np.ndarray] | None = None  # omega and coeffs of the one before
+    good: list[BreatherResult] = []  # the converged points, in ramp order
     for omega in omegas:
         cfg = config.with_omega(float(omega))
+        carry = good[-1].field if good else None
         predicted = None
         # the secant through the last two converged points, if their frequencies differ
-        if before is not None and before[0] != last_good_omega:
-            omega_1, coeffs_1 = before
-            step = (float(omega) - last_good_omega) / (last_good_omega - omega_1)
-            predicted = carry.with_coeffs(carry.coeffs + step * (carry.coeffs - coeffs_1))
+        if len(good) > 1:
+            (omega_1, f1), (omega_2, f2) = ((r.config.grid.omega, r.field) for r in good[-2:])
+            if omega_1 != omega_2:
+                step = (float(omega) - omega_2) / (omega_2 - omega_1)
+                predicted = f2.with_coeffs(f2.coeffs + step * (f2.coeffs - f1.coeffs))
         try:
             res = solve(cfg, carry, predicted)
         except ResonanceError:
             results.append(_finalize(cfg, _Outcome(STATUS_RESONANCE, zero_field(cfg.grid),
                                                    math.nan), []))
             continue
-        if res.status != STATUS_CONVERGED and carry is not None:
+        if res.status != STATUS_CONVERGED and good:
             # no ResonanceError: the midpoint lies above a frequency that cleared
             # the band check, and min |nu| = Omega^2 - 4 grows with Omega
-            mid_cfg = config.with_omega(0.5 * (last_good_omega + float(omega)))
+            mid_cfg = config.with_omega(0.5 * (good[-1].config.grid.omega + float(omega)))
             mid = solve(mid_cfg, carry)
             if mid.status == STATUS_CONVERGED:
                 res = solve(cfg, mid.field)
         results.append(res)
         if res.status == STATUS_CONVERGED:
-            if carry is not None:
-                before = last_good_omega, carry.coeffs
-            carry, last_good_omega = res.field, float(omega)
+            good.append(res)
     return results
-

@@ -190,11 +190,6 @@ def _site_weights(n_sites: int, w: WeightSpec) -> np.ndarray:
     return wn
 
 
-def weights(grid: GridSpec, w: WeightSpec) -> np.ndarray:
-    """Per-site weights exp(lam*|n - center|) of the grid's sites, read-only and cached."""
-    return _site_weights(grid.n_sites, w)
-
-
 def weighted_profile_norm(profile: np.ndarray, w: WeightSpec) -> float:
     """sqrt(sum_n exp(lam*|n - center|) * |u_n|^2) over a site profile.
 
@@ -202,14 +197,6 @@ def weighted_profile_norm(profile: np.ndarray, w: WeightSpec) -> float:
     """
     profile = np.asarray(profile, dtype=float)
     return float(np.sqrt(np.sum(_site_weights(profile.size, w) * profile**2)))
-
-
-@functools.lru_cache(maxsize=32)
-def _x0_weights(n_sites: int, w: WeightSpec) -> np.ndarray:
-    """Read-only 2 w_n, the Parseval factor of ``x0_norm`` times the site weights."""
-    wn2 = _site_weights(n_sites, w) * 2.0
-    wn2.flags.writeable = False
-    return wn2
 
 
 @functools.lru_cache(maxsize=32)
@@ -244,11 +231,11 @@ def x0_norm(field: SpectralField, w: WeightSpec) -> float:
     """Time-averaged weighted l2 norm, computed spectrally.
 
     Parseval in time turns (1/T) * integral of ||u(t)||_w^2 into
-    sum_n w_n * 2 * sum_m a_nm^2.
+    2 * sum_n w_n * sum_m a_nm^2.
     """
     c = field.coeffs
-    return math.sqrt(np.add.reduce(_x0_weights(field.grid.n_sites, w)
-                                   * np.add.reduce(c * c, axis=1)))
+    return math.sqrt(2.0 * np.add.reduce(_site_weights(field.grid.n_sites, w)
+                                         * np.add.reduce(c * c, axis=1)))
 
 
 def x2_norm(field: SpectralField, w: WeightSpec) -> float:
@@ -322,11 +309,6 @@ def seed_field(grid: GridSpec, parity: str, amplitude: float, width: float) -> S
     coeffs = np.zeros(grid.shape)
     coeffs[:, 0] = profile / 2.0
     return parity_projector(parity)(SpectralField(grid, coeffs))
-
-
-def time_means(field: SpectralField) -> np.ndarray:
-    """Per-site means of a full grid's synthesized samples; zero up to round-off."""
-    return synthesize(field).mean(axis=1)
 
 
 def max_amplitude_profile(field: SpectralField) -> np.ndarray:

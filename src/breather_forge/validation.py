@@ -87,42 +87,39 @@ def bounds_report(omega: float, weight: WeightSpec, potential: PotentialSpec,
     return BoundsReport(r_max, r_crit, nonres0, nonres, in_ring, x0_norm_value)
 
 
-def tail_mask(amplitudes: np.ndarray) -> np.ndarray:
-    """Sites whose amplitude lies in [1e-12, 1e-2] of the peak: the decay
-    tail, clear of both the nonlinear core and the round-off floor."""
-    peak = float(np.max(amplitudes))
-    return (amplitudes >= 1e-12 * peak) & (amplitudes <= 1e-2 * peak)
+def fit_decay_profile(amplitudes: np.ndarray, center: float) -> tuple[float, float, float]:
+    """(rate, intercept, r_squared) of the line log(amp_n) = intercept - rate |n - center|.
 
-
-def fit_decay_profile(amplitudes: np.ndarray, center: float) -> tuple[float, float]:
-    """Least-squares decay rate of log max-amplitude against distance.
-
-    Fits log(amp_n) = a - lambda_eff * |n - center| over the sites of
-    ``tail_mask``; the profile is in storage order, site 0 at len//2.
+    The tail is the sites whose amplitude lies in [1e-12, 1e-2] of the peak, clear of
+    both the nonlinear core and the round-off floor; the profile is in storage order,
+    site 0 at len//2.  ``rate`` is the least-squares slope, ``intercept`` the tail's
+    mean of log(amp_n) + rate |n - center|, and ``r_squared`` measured against that
+    line: the line the decay file draws.
     """
     amp = np.asarray(amplitudes, dtype=float)
-    half = amp.size // 2
-    if float(np.max(amp)) <= 0.0:
+    peak = float(np.max(amp))
+    if peak <= 0.0:
         raise InsufficientTailError("profile is identically zero")
-    mask = tail_mask(amp)
+    mask = (amp >= 1e-12 * peak) & (amp <= 1e-2 * peak)
     if np.count_nonzero(mask) < 4:
         raise InsufficientTailError(
             f"only {np.count_nonzero(mask)} usable tail sites, need at least 4")
-    dist = np.abs(np.arange(amp.size) - half - center)[mask]
+    dist = np.abs(np.arange(amp.size) - amp.size // 2 - center)[mask]
     logs = np.log(amp[mask])
-    slope, intercept = np.polyfit(dist, logs, 1)
-    fitted = intercept + slope * dist
-    ss_res = float(np.sum((logs - fitted) ** 2))
+    rate = -float(np.polyfit(dist, logs, 1)[0])
+    intercept = float(np.mean(logs + rate * dist))
+    ss_res = float(np.sum((logs - (intercept - rate * dist)) ** 2))
     ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return -float(slope), r_squared
+    return rate, intercept, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
 def decay_rate_fit(result) -> tuple[float, float]:
-    """Decay rate and goodness of fit for a converged solve result."""
+    """Decay rate and r_squared of ``fit_decay_profile`` for a converged solve result."""
     if result.status != "converged":
         raise ValueError(f"decay fit needs a converged result, got {result.status!r}")
-    return fit_decay_profile(max_amplitude_profile(result.field), parity_center(result.config.parity))
+    rate, _, r_squared = fit_decay_profile(max_amplitude_profile(result.field),
+                                           parity_center(result.config.parity))
+    return rate, r_squared
 
 
 def parity_deviation(field: SpectralField, parity: str, weight: WeightSpec,

@@ -14,7 +14,7 @@ the whole iterate history on every step.
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from breather_forge import GridSpec, SpectralField, WeightSpec, analyze, weights
+from breather_forge import GridSpec, SpectralField, WeightSpec, analyze
 
 
 def fft_synthesize(coeffs: np.ndarray, n_time_samples: int) -> np.ndarray:
@@ -35,7 +35,7 @@ def x0_norm_time_quadrature(field: SpectralField, w: WeightSpec) -> float:
     t = grid.period * np.arange(grid.n_time_samples) / grid.n_time_samples
     phases = np.exp(1j * grid.omega * np.outer(grid.harmonics, t))
     samples = 2.0 * np.real(field.coeffs @ phases)
-    wn = weights(grid, w)
+    wn = np.exp(w.lam * np.abs(grid.sites - w.center))
     return float(np.sqrt(np.sum(wn[:, None] * samples**2) / grid.n_time_samples))
 
 

@@ -517,6 +517,12 @@ def test_decay_file_slope_matches_fit(solved_dir, flagship_result):
     (d1, f1), (d2, f2) = finite[0], finite[-1]
     slope = (f2 - f1) / (d2 - d1)
     assert slope == pytest.approx(-lam_eff, rel=1e-12)
+    # the file draws the fit's own line, bit for bit, and the manifest holds its rate
+    with open(solved_dir / "profile.csv", newline="") as handle:
+        amp = np.array([float(row[1]) for row in list(csv.reader(handle))[1:]])
+    rate, intercept, _ = validation.fit_decay_profile(amp, 0.0)
+    assert all(f == intercept - rate * d for d, f in finite)
+    assert load_manifest(str(solved_dir / "manifest.json"))["result"]["decay_fit"] == rate
 
 
 def test_verify_passes_on_fresh_manifest(solved_dir, capsys):

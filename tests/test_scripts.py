@@ -51,3 +51,21 @@ def test_census_converges_on_every_solve():
     assert proc.returncode == 0, proc.stderr
     totals = [line for line in proc.stdout.splitlines() if line.startswith("total: ")]
     assert len(totals) == 1 and totals[0].startswith("total: 166 solves, 166 converged"), totals
+
+
+def test_artifact_set_logs_every_run_with_its_directory_replaced(tmp_path, monkeypatch,
+                                                                capsys):
+    path = next(path for path in SCRIPTS if path.name == "artifact_set.py")
+    namespace = runpy.run_path(str(path), run_name="smoke")
+    out = tmp_path / "set"
+    monkeypatch.setattr(sys, "argv", [path.name, str(out)])
+    assert namespace["main"]() == 0
+    names = [name for name, _ in namespace["runs"](str(out))]
+    assert sorted(p.name for p in out.glob("*.log")) == sorted(f"{name}.log" for name in names)
+    for name in names:
+        log = (out / f"{name}.log").read_text()
+        assert str(tmp_path) not in log
+        if not name.startswith("verify_"):  # verify exits 1 on a record a check fails
+            assert log.startswith("exit code 0\n"), log
+    assert "manifest = OUT/solve_odd/manifest.json" in (out / "solve_odd.log").read_text()
+    assert (out / "integrate" / "trajectory.json").exists()

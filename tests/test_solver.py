@@ -16,7 +16,7 @@ from breather_forge import (GridSpec, PotentialSpec, ResonanceError,
                             bounds_report, continuation_sweep, decay_rate_fit,
                             hybrid_solve, newton_solve, apply_S, picard_solve,
                             project_odd, random_field, refine, solve, strong_residual,
-                            synthesize, time_means, x0_norm, x2_norm, zero_field)
+                            synthesize, x0_norm, x2_norm, zero_field)
 from breather_forge.cli_io import build_manifest
 from breather_forge import solver as solver_module
 from breather_forge.solver import (PICARD_COLLAPSE_FRACTION, _picard_phase,
@@ -37,6 +37,18 @@ def test_config_validation():
         SolverConfig(grid=grid, weight=weight, potential=QUARTIC, parity="none")
     with pytest.raises(ValueError):
         SolverConfig(grid=grid, weight=weight, potential=QUARTIC, tol_residual=0.0)
+
+
+def test_config_refuses_a_weight_centre_of_the_other_parity_class():
+    # a record echoes the parity alone and is re-read with that class's centre, so a
+    # config holding the other centre would write an X0 norm its own verify refutes
+    grid = GridSpec(64, 16, 130, 2.2)
+    for parity, other in (("even", 0.0), ("odd", -0.5)):
+        with pytest.raises(ValueError, match="centre"):
+            SolverConfig(grid=grid, weight=WeightSpec(0.3, other), potential=QUARTIC,
+                         parity=parity, seed=(0.8, 1.0))
+        assert SolverConfig(grid=grid, weight=WeightSpec.for_parity(0.3, parity),
+                            potential=QUARTIC, parity=parity).weight.center != other
 
 
 @pytest.mark.parametrize("seed", [(-1.0, 1.0), (0.8, 0.0), (None, -1.0), (0.8, math.nan),
@@ -122,7 +134,7 @@ def test_converged_result_invariants(flagship_result):
     assert numbers["strong_residual"] <= 10.0 * cfg.tol_residual * numbers["x2_norm"]
     assert numbers["parity_deviation"] <= 1e-12
     peak = np.max(np.abs(synthesize(res.field)))
-    assert np.max(np.abs(time_means(res.field))) <= 1e-13 * peak
+    assert np.max(np.abs(synthesize(res.field).mean(axis=1))) <= 1e-13 * peak
     assert numbers["decay_fit"] > 0.0
     assert record["bounds"] is not None
 
@@ -212,7 +224,7 @@ def test_hybrid_picard_hands_over_at_radial_collapse():
     collapsed = [i for i in range(best + 1, len(trace))
                  if trace[i][2] < PICARD_COLLAPSE_FRACTION * trace[best][2]]
     assert out.status is None and collapsed and collapsed[0] == len(trace) - 1
-    assert (out.best_residual, out.best_norm) == trace[best][1:]
+    assert (out.best_residual, x0_norm(out.best_field, work.weight)) == trace[best][1:]
     picard = picard_solve(cfg)
     assert picard.status == "collapsed_to_zero"
     assert picard.trace[:len(trace)] == trace and len(picard.trace) > len(trace)
@@ -574,18 +586,23 @@ def test_a_warm_solve_that_misses_is_the_hybrid_from_its_start(monkeypatch, flag
     assert repr(got.trace) == repr(want.trace)
 
 
-def test_sweep_reports_resonant_points():
+@pytest.mark.parametrize("ramp", [(2.2, 1.8), (1.8, 2.2)], ids=["descending", "ascending"])
+def test_sweep_reports_resonant_points(ramp):
     cfg = SolverConfig(grid=GridSpec(32, 8, 66, 2.2), weight=WeightSpec(0.0),
                        potential=QUARTIC, parity="odd",
                        seed=(0.8, 1.0), max_iter=200)
-    results = continuation_sweep(cfg, 2.2, 1.8, 5)
+    results = continuation_sweep(cfg, *ramp, 5)
     assert len(results) == 5
-    statuses = [r.status for r in results]
-    assert statuses[-1] == "resonance"
-    assert statuses[0] == "converged"
+    by_omega = sorted(results, key=lambda r: r.config.grid.omega)
+    assert (by_omega[0].status, by_omega[-1].status) == ("resonance", "converged")
     for r in results:
         if r.config.grid.omega**2 <= 4.0:
             assert r.status == "resonance"
+    # after resonant points, the first converged point is a cold solve: none came before it
+    first = next(r for r in results if r.status == "converged")
+    cold = solve(first.config)
+    assert repr(first.trace) == repr(cold.trace)
+    assert first.field.coeffs.tobytes() == cold.field.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("ends, named", [((math.inf, 2.4), "omega_from = inf"),

@@ -79,8 +79,9 @@ def test_bounds_harmonic_limit_is_unbounded():
 def test_decay_fit_exact_exponential():
     sites = np.arange(64) - 32
     amp = np.exp(-0.7 * np.abs(sites))
-    lam_eff, r2 = fit_decay_profile(amp, center=0.0)
+    lam_eff, intercept, r2 = fit_decay_profile(amp, center=0.0)
     assert lam_eff == pytest.approx(0.7, abs=1e-10)
+    assert intercept == pytest.approx(0.0, abs=1e-10)
     assert r2 == pytest.approx(1.0, abs=1e-12)
 
 
