@@ -8,12 +8,13 @@ The runs: the odd and even flagship (Omega = 2.2, N = 64, M = 16, seed
 amplitude 0.8, 10 integrated periods, the multiplier table), an odd record at
 lambda = 0.3, the 12-point sweep 2.6 -> 2.05 on N = 96 from seed (0.87, 1.05),
 the 3-point sweep 2.2 -> 1.9 that ends inside the band, ``verify`` on eight
-of those records and ``integrate`` of the odd flagship.  Each runs in-process
-through ``cli_io.run_command`` and writes under OUT/<run>/; its exit code,
-stdout and stderr go to OUT/<run>.log with OUT written as the word ``OUT``, so
-two sets written to different directories compare equal when the program
-behaves the same.  ``scripts/solve_census.py`` is the other half of the
-comparison; it stays a script of its own because it rebinds solver names.
+of those records, ``integrate`` of the odd flagship and ``bounds`` by each
+frequency spelling.  Each runs in-process through ``cli_io.run_command`` and
+writes under OUT/<run>/; its exit code, stdout and stderr go to OUT/<run>.log
+with OUT written as the word ``OUT``, so two sets written to different
+directories compare equal when the program behaves the same.
+``scripts/solve_census.py`` is the other half of the comparison; it stays a
+script of its own because it rebinds solver names.
 """
 
 import contextlib
@@ -49,6 +50,9 @@ def runs(out):
           for record in VERIFIED),
         ("integrate", ["integrate", "--manifest", os.path.join(out, "solve_odd", "manifest.json"),
                        "--out", os.path.join(out, "integrate")]),
+        ("bounds_omega", ["bounds", "--omega", "2.2", "--quartic", "1",
+                          "--x0-norm", "0.8608563552731"]),
+        ("bounds_omega2", ["bounds", "--omega2", "12", "--beta", "1", "--lambda", "0.3"]),
     ]
 
 

@@ -55,7 +55,7 @@ class ConfigKey:
     key: str
     dest: str  # argparse dest, and the name build_config reads the value by
     type: type | None  # int or float; None for a string from ``choices``
-    default: object  # None: required (grid.omega) or 'auto'
+    default: object  # None: required (grid.omega) or 'auto'; a solver key's is SolverConfig's
     flag: str | None  # None: set in a config file only
     help: str
     get: Callable[[SolverConfig], object]
@@ -90,18 +90,19 @@ CONFIG_KEYS = (
               lambda c: c.potential.cubic),
     ConfigKey("potential.quartic", "quartic", float, 0.0, "--quartic",
               "quartic force coefficient", lambda c: c.potential.quartic),
-    ConfigKey("solver.parity", "parity", None, "odd", "--parity",
+    ConfigKey("solver.parity", "parity", None, SolverConfig.parity, "--parity",
               "odd: site-centred, even: bond-centred", lambda c: c.parity,
               choices=PARITIES),
-    ConfigKey("solver.tol_residual", "tol_residual", float, 1e-10, "--tol-residual",
-              "relative fixed-point residual to converge at", lambda c: c.tol_residual),
-    ConfigKey("solver.max_iter", "max_iter", int, 500, "--max-iter",
+    ConfigKey("solver.tol_residual", "tol_residual", float, SolverConfig.tol_residual,
+              "--tol-residual", "relative fixed-point residual to converge at",
+              lambda c: c.tol_residual),
+    ConfigKey("solver.max_iter", "max_iter", int, SolverConfig.max_iter, "--max-iter",
               "outer iteration budget", lambda c: c.max_iter),
-    ConfigKey("solver.seed_amplitude", "seed_amplitude", float, None, "--seed-amplitude",
-              "seed scale (a file may write 'auto': the amplitude on the seed's own "
-              "fixed-point ray, ||S(seed)|| = ||seed||)",
+    ConfigKey("solver.seed_amplitude", "seed_amplitude", float, SolverConfig.seed[0],
+              "--seed-amplitude", "seed scale (a file may write 'auto': the amplitude on "
+              "the seed's own fixed-point ray, ||S(seed)|| = ||seed||)",
               lambda c: c.seed[0], auto=True),
-    ConfigKey("solver.seed_width", "seed_width", float, 1.0, "--seed-width",
+    ConfigKey("solver.seed_width", "seed_width", float, SolverConfig.seed[1], "--seed-width",
               "seed width in sites", lambda c: c.seed[1]),
 )
 
@@ -263,7 +264,7 @@ def build_manifest(result: BreatherResult, decay_rate: float, artifact_paths: li
             "iterations": result.iterations, "fp_residual": result.fp_residual,
             "strong_residual": validation.strong_residual(fld, potential, weight),
             "x0_norm": norm0, "x2_norm": x2_norm(fld, weight),
-            "parity_deviation": validation.parity_deviation(fld, config.parity, weight, norm0),
+            "parity_deviation": validation.parity_deviation(fld, config.parity, weight),
             "decay_fit": decay_rate if result.status == STATUS_CONVERGED else math.nan,
             "parity": config.parity},
         "bounds": bounds,
@@ -530,16 +531,14 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if (args.omega is None) == (args.omega2 is None):
+        raise ValueError("bounds takes exactly one of --omega and --omega2")
     if args.omega2 is not None and not args.omega2 > 0.0:
         raise ValueError("--omega2 must be positive")
     omega = math.sqrt(args.omega2) if args.omega2 is not None else args.omega
-    if omega is None:
-        print("bounds: supply --omega or --omega2", file=sys.stderr)
-        return 1
-    potential = PotentialSpec(cubic=args.cubic or 0.0,
-                              quartic=args.quartic if args.quartic is not None else args.beta or 0.0)
-    report = validation.bounds_report(omega, WeightSpec(args.lam or 0.0),
-                                      potential, args.x0_norm or 0.0)
+    report = validation.bounds_report(omega, WeightSpec(args.lam),
+                                      PotentialSpec(cubic=args.cubic, quartic=args.quartic),
+                                      args.x0_norm or 0.0)
     for key in ("r_max", "r_crit", "nonres0_ok", "nonres_ok"):
         print(f"{key} = {getattr(report, key)!r}")
     if args.x0_norm is not None:
@@ -596,9 +595,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--omega", type=float)
     p_bounds.add_argument("--omega2", type=float, help="squared frequency")
     p_bounds.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p_bounds.add_argument("--cubic", "--alpha", dest="cubic", type=float)
-    p_bounds.add_argument("--quartic", type=float)
-    p_bounds.add_argument("--beta", type=float, help="alias for --quartic")
+    p_bounds.add_argument("--cubic", "--alpha", dest="cubic", type=float, default=0.0)
+    p_bounds.add_argument("--quartic", "--beta", dest="quartic", type=float, default=0.0)
     p_bounds.add_argument("--x0-norm", dest="x0_norm", type=float,
                           help="report ring membership for this norm")
     p_bounds.set_defaults(func=_cmd_bounds)

@@ -54,21 +54,18 @@ class PotentialSpec:
         return 0
 
 
-PotentialValues = namedtuple("PotentialValues", "V Vp Vpp W Wp Wpp")
+PotentialValues = namedtuple("PotentialValues", "V Wp")
 
 
 def eval_potential(spec: PotentialSpec, x) -> PotentialValues:
-    """Evaluate V, W and their first two derivatives at x (scalar or array).
+    """Evaluate V = x^2/2 + W and the force W' at x (scalar or array).
 
-    Identities V = x^2/2 + W, Vp = x + Wp and Vpp = 1 + Wpp hold exactly;
-    W(0) = W'(0) = W''(0) = 0 so the harmonic stiffness is always 1.
+    The derivatives of V are x + W' and 1 + W'', with W' = ``force`` and
+    W'' = ``stiffness``; W(0) = W'(0) = W''(0) = 0.
     """
-    x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
     x2 = x * x
     W = x2 * x * (spec.cubic / 3.0 + spec.quartic / 4.0 * x)
-    Wp = force(spec, x)
-    Wpp = stiffness(spec, x)
-    return PotentialValues(0.5 * x2 + W, x + Wp, 1.0 + Wpp, W, Wp, Wpp)
+    return PotentialValues(0.5 * x2 + W, force(spec, x))
 
 
 def force(spec: PotentialSpec, x, out=None):
@@ -117,5 +114,4 @@ def dispersion(k):
 
     Even in k and bounded by the band edge value 4, attained at k = +-pi.
     """
-    return 4.0 * np.sin(np.asarray(k, dtype=float) / 2.0) ** 2 if not np.isscalar(k) \
-        else 4.0 * math.sin(k / 2.0) ** 2
+    return 4.0 * np.sin(np.asarray(k, dtype=float) / 2.0) ** 2

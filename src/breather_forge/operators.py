@@ -49,14 +49,13 @@ def band_gap(omega: float) -> float:
 class Multiplier:
     """Eigenvalue table nu[i, j] = -Om^2 m_i^2 + 4 sin^2(k_j / 2), m_i the i-th stored m."""
 
-    omega: float
     table: np.ndarray
 
     @classmethod
     def build(cls, grid: GridSpec) -> "Multiplier":
         m = grid.harmonics
         table = -(grid.omega * m[:, None]) ** 2 + dispersion(_wavenumbers(grid))[None, :]
-        return cls(grid.omega, table)
+        return cls(table)
 
 
 def _wavenumbers(grid: GridSpec) -> np.ndarray:
@@ -96,12 +95,6 @@ def apply_M(field: SpectralField) -> SpectralField:
     return field.with_coeffs(-((field.grid.omega * m[None, :]) ** 2) * c - lap)
 
 
-def apply_M_via_multiplier(field: SpectralField) -> SpectralField:
-    """Multiplier route: the site filter by nu_m(k), defined inside the band too."""
-    table = Multiplier.build(field.grid).table.T[:field.grid.n_sites // 2 + 1]
-    return field.with_coeffs(_site_filter(field.coeffs, table))
-
-
 def apply_M_inverse(field: SpectralField) -> SpectralField:
     """Invert M by spectral division; requires Om^2 > 4 (non-resonance)."""
     nu, _ = _symbols(field.grid)
@@ -120,10 +113,9 @@ def apply_N(field: SpectralField, spec: PotentialSpec) -> SpectralField:
     W' is evaluated pointwise on a collocation grid oversampled by the
     dealiasing rule of ``GridSpec.with_dealiasing``, which keeps the
     truncated result an exact restriction of the continuous operator; the
-    zero-mean projection is part of the transform back.
+    zero-mean projection is part of the transform back.  A harmonic potential
+    gives exact zeros: W'(u) = u^2 (0 + 0 u).
     """
-    if spec.wprime_degree == 0:
-        return field.with_coeffs(np.zeros_like(field.coeffs))
     u = synthesize(field, n_time_samples=_collocation_count(field, spec))
     wp = eval_potential(spec, u).Wp
     stencil = np.roll(wp, -1, axis=0) + np.roll(wp, 1, axis=0) - 2.0 * wp

@@ -31,6 +31,7 @@ from .spectral_field import (PARITIES, GridSpec, SpectralField, WeightSpec,
                              check_x2_weights, dealiased_sample_count, parity_center,
                              parity_projector, seed_field, x0_norm, x2_norm, zero_field)
 
+# X0 norms at quartic = 1; _evaluate scales both by 1/sqrt|quartic| (see there)
 DIVERGENCE_NORM = 1e6
 COLLAPSE_NORM = 1e-8  # an X0 norm at or below this has collapsed to zero
 PICARD_DAMPING = 0.5  # theta of Picard's step x + theta * (P S(x) - x)
@@ -152,7 +153,9 @@ def _evaluate(config: SolverConfig, fld: SpectralField, trace: list,
     """(status, residual, fp_residual) of an iterate; appends its trace row.
 
     The status is collapse or divergence by the X0 norm (no residual then,
-    and a nan row), converged, or None while iteration should go on.  A
+    and a nan row), converged, or None while iteration should go on.  The
+    fixed points at quartic beta are those at beta = 1 over sqrt(beta), as is
+    the paper's r_max, so both norm limits scale by 1/sqrt|beta| (by 1 at 0).  A
     converged field also passes ``validation.strong_residual_check``, the
     row ``verify`` prints as ``strong_residual``: a fixed-point residual below
     tol does not always imply it, because the two norms weigh the harmonics
@@ -160,10 +163,12 @@ def _evaluate(config: SolverConfig, fld: SpectralField, trace: list,
     measured at 11 times tol in the strong form.  ``res_field`` is the
     iterate's residual when the caller has computed it already.
     """
+    beta = abs(config.potential.quartic)
+    scale = 1.0 / math.sqrt(beta) if beta > 0.0 else 1.0
     norm = x0_norm(fld, config.weight)
-    if norm <= COLLAPSE_NORM or norm > DIVERGENCE_NORM:
+    if norm <= COLLAPSE_NORM * scale or norm > DIVERGENCE_NORM * scale:
         trace.append((len(trace), float("nan"), norm))
-        status = STATUS_COLLAPSED if norm <= COLLAPSE_NORM else STATUS_DIVERGED
+        status = STATUS_COLLAPSED if norm <= COLLAPSE_NORM * scale else STATUS_DIVERGED
         return status, None, float("nan")
     if res_field is None:
         res_field = _residual(config, fld)
@@ -482,7 +487,7 @@ def hybrid_solve(config: SolverConfig, initial: SpectralField | None = None) -> 
     # hybrid solve: Newton is attempted from the best iterate whenever that
     # iterate still carries a nontrivial shape (a strict residual below 1
     # excludes the exact-collapse case where S is identically zero, and is
-    # finite only at an X0 norm above COLLAPSE_NORM) and the budget of
+    # finite only at an X0 norm above the collapse limit) and the budget of
     # max_iter trace rows has some left.
     outer = min(60, config.max_iter - len(trace))
     if out.status != STATUS_CONVERGED and out.best_residual < 1.0 and outer > 0:

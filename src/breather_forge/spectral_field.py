@@ -57,12 +57,10 @@ class GridSpec:
                              "harmonics: the X2 weight (omega * m)^4 overflows at m = M")
 
     @classmethod
-    def with_dealiasing(cls, n_sites: int, n_harmonics: int, omega: float,
-                        wprime_degree: int = 3) -> "GridSpec":
-        """Grid whose collocation rule resolves a degree-``wprime_degree`` force
+    def with_dealiasing(cls, n_sites: int, n_harmonics: int, omega: float) -> "GridSpec":
+        """Grid whose collocation rule resolves the quartic potential's cubic force
         without aliasing (see ``dealiased_sample_count``)."""
-        return cls(n_sites, n_harmonics,
-                   dealiased_sample_count(n_harmonics, wprime_degree), omega)
+        return cls(n_sites, n_harmonics, dealiased_sample_count(n_harmonics, 3), omega)
 
     @property
     def period(self) -> float:
@@ -188,15 +186,6 @@ def _site_weights(n_sites: int, w: WeightSpec) -> np.ndarray:
     wn = np.exp(w.lam * np.abs(np.arange(n_sites) - n_sites // 2 - w.center))
     wn.flags.writeable = False
     return wn
-
-
-def weighted_profile_norm(profile: np.ndarray, w: WeightSpec) -> float:
-    """sqrt(sum_n exp(lam*|n - center|) * |u_n|^2) over a site profile.
-
-    The profile is indexed in storage order, centre at len//2.
-    """
-    profile = np.asarray(profile, dtype=float)
-    return float(np.sqrt(np.sum(_site_weights(profile.size, w) * profile**2)))
 
 
 @functools.lru_cache(maxsize=32)

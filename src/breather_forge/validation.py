@@ -122,11 +122,11 @@ def decay_rate_fit(result) -> tuple[float, float]:
     return rate, r_squared
 
 
-def parity_deviation(field: SpectralField, parity: str, weight: WeightSpec,
-                     norm0: float) -> float:
-    """||u - P u||_X0 / ||u||_X0 for the class's projector P; norm0 is ||u||_X0."""
+def parity_deviation(field: SpectralField, parity: str, weight: WeightSpec) -> float:
+    """||u - P u||_X0 / ||u||_X0 for the class's projector P; ||u - P u||_X0 at u = 0."""
     projected = parity_projector(parity)(field)
     dev = x0_norm(field.with_coeffs(field.coeffs - projected.coeffs), weight)
+    norm0 = x0_norm(field, weight)
     return dev / norm0 if norm0 > 0.0 else dev
 
 
@@ -156,8 +156,7 @@ def solution_checks(field: SpectralField, config) -> list[tuple[str, float, floa
     SolverConfig; a row passes when value <= limit, so a nan value fails."""
     samples = synthesize(field)
     peak = float(np.max(np.abs(samples))) or 1.0  # the time means' scale
-    rel_dev = parity_deviation(field, config.parity, config.weight, x0_norm(field, config.weight))
-    return [("parity_relation", rel_dev, 1e-12),
+    return [("parity_relation", parity_deviation(field, config.parity, config.weight), 1e-12),
             ("zero_time_mean", float(np.max(np.abs(samples.mean(axis=1)))), 1e-13 * peak),
             strong_residual_check(field, config),
             ("boundary_floor", boundary_floor(field), 1e-10)]

@@ -1,7 +1,9 @@
 """Independent oracle routes used by the test suite.
 
 Nothing here shares code with the solver paths it checks: the transform
-oracles take the cosine series through numpy's real FFT, the norm oracle
+oracles take the cosine series through numpy's real FFT, the M oracle
+multiplies each space-time mode by its closed-form eigenvalue through numpy's
+complex FFT over the sites, the norm oracle
 integrates in the time domain, the dealiasing oracle evaluates the force by
 direct trigonometric summation on a heavily oversampled grid, the
 classical residual samples the field through the FFT route, and the
@@ -27,6 +29,17 @@ def fft_synthesize(coeffs: np.ndarray, n_time_samples: int) -> np.ndarray:
 def fft_analyze(samples: np.ndarray, n_harmonics: int) -> np.ndarray:
     """FFT route for the cosine coefficients 1..M: real part of the scaled rfft."""
     return (np.fft.rfft(samples, axis=1)[:, 1:n_harmonics + 1] / samples.shape[1]).real
+
+
+def multiplier_apply_m(field: SpectralField) -> SpectralField:
+    """Fourier route for M: each site mode k times nu_m(k) = -(Om m)^2 + 4 sin^2(k/2).
+
+    Defined inside the phonon band too: M needs no non-resonance, only its inverse.
+    """
+    grid = field.grid
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_sites)
+    nu = -(grid.omega * grid.harmonics[None, :]) ** 2 + 4.0 * np.sin(k[:, None] / 2.0) ** 2
+    return field.with_coeffs(np.fft.ifft(np.fft.fft(field.coeffs, axis=0) * nu, axis=0).real)
 
 
 def x0_norm_time_quadrature(field: SpectralField, w: WeightSpec) -> float:

@@ -50,6 +50,8 @@ def test_parse_minimal_document_applies_defaults():
     assert config.grid.n_sites == 64
     assert config.grid.n_harmonics == 16
     assert config.seed == (None, 1.0)
+    # each solver key left out takes the library's default
+    assert config == solver.SolverConfig(config.grid, config.weight, config.potential)
 
 
 def test_parse_empty_document_requires_omega():
@@ -911,10 +913,24 @@ def test_each_exit_table_row_ends_a_command_with_one_line(row, solved_dir, tmp_p
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_bounds_without_a_frequency_exits_one_with_one_line(capsys):
-    rc = run_command(["bounds", "--quartic", "1"])
+@pytest.mark.parametrize("omegas", [[], ["--omega", "2.2", "--omega2", "12"]],
+                         ids=["neither", "both"])
+def test_bounds_takes_exactly_one_frequency_spelling(omegas, capsys):
+    # with both, the --omega2 value used to win without a word
+    rc = run_command(["bounds", *omegas, "--quartic", "1"])
     assert rc == 1
-    assert capsys.readouterr() == ("", "bounds: supply --omega or --omega2\n")
+    assert capsys.readouterr() == ("", "error: bounds takes exactly one of --omega and "
+                                       "--omega2\n")
+
+
+def test_beta_is_a_second_spelling_of_quartic(capsys):
+    # one option, so the last value given wins, as for a repeated --quartic; the
+    # --beta value used to lose to any --quartic
+    outputs = []
+    for argv in (["--quartic", "5"], ["--beta", "5"], ["--quartic", "1", "--beta", "5"]):
+        assert run_command(["bounds", "--omega", "2.2", *argv]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs == [outputs[0]] * 3
 
 
 def _error_classes():

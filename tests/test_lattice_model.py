@@ -7,31 +7,34 @@ from hypothesis import strategies as st
 
 from breather_forge import (MixedPotentialError, PotentialSpec, dispersion,
                             eval_potential, growth_bound)
-from breather_forge.lattice_model import force
+from breather_forge.lattice_model import force, stiffness
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False)
 
 
 def test_eval_potential_harmonic_limit():
-    vals = eval_potential(PotentialSpec(), 1.5)
+    spec = PotentialSpec()
+    vals = eval_potential(spec, 1.5)
     assert vals.V == 1.125
-    assert vals.W == 0.0
-    assert vals.Vpp == 1.0
+    assert vals.Wp == 0.0
+    assert 1.0 + stiffness(spec, 1.5) == 1.0
 
 
 def test_eval_potential_pure_quartic():
-    vals = eval_potential(PotentialSpec(quartic=1.0), 2.0)
-    assert vals.W == 4.0
+    spec = PotentialSpec(quartic=1.0)
+    vals = eval_potential(spec, 2.0)
+    assert vals.V == 2.0 + 4.0
     assert vals.Wp == 8.0
-    assert vals.Wpp == 12.0
+    assert stiffness(spec, 2.0) == 12.0
 
 
 def test_eval_potential_pure_cubic():
-    vals = eval_potential(PotentialSpec(cubic=1.0), -1.0)
-    assert vals.W == pytest.approx(-1.0 / 3.0, abs=1e-15)
+    spec = PotentialSpec(cubic=1.0)
+    vals = eval_potential(spec, -1.0)
+    assert vals.V == pytest.approx(0.5 - 1.0 / 3.0, abs=1e-15)
     assert vals.Wp == 1.0
-    assert vals.Wpp == -2.0
+    assert stiffness(spec, -1.0) == -2.0
 
 
 def test_force_into_a_buffer_has_the_same_bits():
@@ -44,14 +47,18 @@ def test_force_into_a_buffer_has_the_same_bits():
 
 
 @given(finite_floats, finite_floats, finite_floats)
-def test_curvature_identity(cubic, quartic, x):
-    vals = eval_potential(PotentialSpec(cubic=cubic, quartic=quartic), x)
-    # V'' = 1 + W'' holds bit-exactly by construction; the subtracted form
-    # is only accurate to rounding when W'' is tiny
-    assert vals.Vpp == 1.0 + vals.Wpp
-    assert vals.Vpp - vals.Wpp == pytest.approx(1.0, abs=1e-15 * max(1.0, abs(vals.Wpp)))
-    assert vals.V == pytest.approx(0.5 * x * x + vals.W, rel=1e-12, abs=1e-12)
-    assert vals.Vp == pytest.approx(x + vals.Wp, rel=1e-12, abs=1e-12)
+def test_potential_values_match_the_power_forms(cubic, quartic, x):
+    # V = x^2/2 + W with W = cubic x^3/3 + quartic x^4/4, W' and W'' its derivatives,
+    # each written here by powers; the bound is rounding at the size of the terms
+    spec = PotentialSpec(cubic=cubic, quartic=quartic)
+    vals = eval_potential(spec, x)
+    size = 1.0 + x * x + abs(cubic) * abs(x) ** 3 + abs(quartic) * x**4
+    assert vals.V == pytest.approx(0.5 * x**2 + cubic * x**3 / 3.0 + quartic * x**4 / 4.0,
+                                   rel=1e-12, abs=1e-14 * size)
+    assert vals.Wp == force(spec, x)
+    assert vals.Wp == pytest.approx(cubic * x**2 + quartic * x**3, rel=1e-12, abs=1e-14 * size)
+    assert stiffness(spec, x) == pytest.approx(2.0 * cubic * x + 3.0 * quartic * x**2,
+                                               rel=1e-12, abs=1e-14 * size)
 
 
 @pytest.mark.parametrize("spec, expected", [
@@ -67,7 +74,7 @@ def test_growth_bound_pure(spec, expected):
 def test_growth_bound_is_tight_envelope(spec):
     kbar, alpha = growth_bound(spec)
     x = np.linspace(-10.0, 10.0, 4001)
-    wpp = np.abs(eval_potential(spec, x).Wpp)
+    wpp = np.abs(stiffness(spec, x))
     envelope = kbar * np.abs(x) ** alpha
     assert np.all(wpp <= envelope * (1.0 + 1e-12))
     # pure powers make the bound an equality at every grid point

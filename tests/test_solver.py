@@ -442,12 +442,13 @@ def test_auto_seed_converges_over_the_band_edge_grid(monkeypatch):
 @pytest.mark.parametrize("omega", [2.2, 2.8])
 def test_auto_seed_solves_are_quartic_covariant(omega, parity):
     # x = z / sqrt(beta) maps the beta-chain onto the beta = 1 chain, and
-    # S(c x) = c**3 S(x) makes the ray seed follow the same map
-    results = {quartic: solve(_auto_seed_config(quartic, omega, parity))
-               for quartic in (0.01, 1.0, 100.0)}
-    assert [res.status for res in results.values()] == ["converged"] * 3
+    # S(c x) = c**3 S(x) makes the ray seed follow the same map; the collapse and
+    # divergence limits follow it too, else beta = 1e15 collapsed and 1e-12 diverged
+    quartics = [10.0**k for k in range(-12, 16)]
+    results = {quartic: solve(_auto_seed_config(quartic, omega, parity)) for quartic in quartics}
+    assert {q: res.status for q, res in results.items()} == dict.fromkeys(quartics, "converged")
     scaled = [res.x0_norm * math.sqrt(quartic) for quartic, res in results.items()]
-    assert scaled == pytest.approx([scaled[1]] * 3, rel=1e-12, abs=0.0)
+    assert scaled == pytest.approx([results[1.0].x0_norm] * len(quartics), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("amplitude", [0.8, None], ids=["seeded", "auto"])

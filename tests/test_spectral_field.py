@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from breather_forge import spectral_field
 from breather_forge import (GridSpec, SpectralField, WeightOverflowError, WeightSpec, analyze,
                             project_even, project_odd, random_field,
-                            seed_field, synthesize, weighted_profile_norm, x0_norm,
-                            x2_norm, zero_field)
+                            seed_field, synthesize, x0_norm, x2_norm, zero_field)
 
 from oracles import fft_analyze, fft_synthesize, single_mode_field, x0_norm_time_quadrature
 
@@ -31,7 +30,7 @@ def test_gridspec_validation():
 
 
 def test_dealiasing_rule():
-    grid = GridSpec.with_dealiasing(64, 16, 3.0, wprime_degree=3)
+    grid = GridSpec.with_dealiasing(64, 16, 3.0)
     assert grid.n_time_samples >= 2 * 4 * 16 + 1
     assert grid.n_time_samples % 2 == 0
 
@@ -145,27 +144,7 @@ def test_zero_time_mean_after_analyze(seed):
     assert np.max(np.abs(synthesize(field).mean(axis=1))) <= 1e-13 * amp
 
 
-def test_weighted_profile_norm_examples():
-    profile = np.zeros(64)
-    profile[32] = 1.0  # physical site 0
-    assert weighted_profile_norm(profile, WeightSpec(0.7)) == 1.0
-    profile = np.zeros(64)
-    profile[32 + 5] = 1.0
-    assert weighted_profile_norm(profile, WeightSpec(0.2)) == pytest.approx(
-        math.exp(0.5), rel=1e-15)
-
-
-@given(seeds)
-@settings(max_examples=20, deadline=None)
-def test_weighted_profile_norm_flat_weight_is_l2(seed):
-    profile = np.random.default_rng(seed).standard_normal(32)
-    assert weighted_profile_norm(profile, WeightSpec(0.0)) == pytest.approx(
-        float(np.linalg.norm(profile)), rel=1e-14)
-
-
 def test_weight_overflow_guard():
-    with pytest.raises(WeightOverflowError):
-        weighted_profile_norm(np.zeros(4096), WeightSpec(0.5))
     with pytest.raises(WeightOverflowError):
         x0_norm(zero_field(GridSpec(4096, 4, 16, 3.0)), WeightSpec(0.5))
 
