@@ -18,7 +18,7 @@ def test_eval_potential_harmonic_limit():
     vals = eval_potential(spec, 1.5)
     assert vals.V == 1.125
     assert vals.Wp == 0.0
-    assert 1.0 + stiffness(spec, 1.5) == 1.0
+    assert stiffness(spec, 1.5) == 0.0
 
 
 def test_eval_potential_pure_quartic():

@@ -11,7 +11,7 @@ from breather_forge import (BlowUpError, GridSpec, InsufficientTailError,
                             fit_decay_profile, initial_conditions,
                             integrate_trajectory, lattice_energy,
                             strong_residual, synthesize,
-                            x0_norm, x2_norm, zero_field,
+                            x2_norm, zero_field,
                             max_amplitude_profile)
 
 from conftest import QUARTIC
